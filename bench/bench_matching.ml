@@ -11,7 +11,7 @@
                   no outcome materialisation — the zero-allocation path
 
    Besides ns/round each record carries alloc/round, the
-   [Gc.allocated_bytes] delta per round of the timed region: the
+   [allocated_bytes] delta per round of the timed region: the
    csr_hk row is the one the zero-allocation acceptance watches (~0
    bytes once the arena has grown).  Emits both a human table and (via
    {!emit_json}) the machine-readable [BENCH_matching.json] record set
@@ -73,12 +73,21 @@ let make_sequence ~seed ~n_left ~rounds ~churn =
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 
+(* Bytes allocated so far.  [Gc.allocated_bytes] misses what the minor
+   heap took since its last collection (up to its whole size, which
+   would swamp a few-round record); [Gc.minor_words] is exact, and the
+   quick_stat terms add the direct major-heap allocations. *)
+let allocated_bytes () =
+  let s = Gc.quick_stat () in
+  let words = Gc.minor_words () +. s.major_words -. s.promoted_words in
+  words *. float_of_int (Sys.word_size / 8)
+
 (* Every timed path reuses one arena per call, like the engine does;
    each timer returns (elapsed ns, total matched, allocated bytes). *)
 
 let time_scratch seq ~arena =
   let matched = ref 0 in
-  let b0 = Gc.allocated_bytes () in
+  let b0 = allocated_bytes () in
   let t0 = now_ns () in
   List.iter
     (fun (inst, _) ->
@@ -86,13 +95,13 @@ let time_scratch seq ~arena =
       matched := !matched + o.Bipartite.matched)
     seq;
   let ns = now_ns () -. t0 in
-  (ns, !matched, Gc.allocated_bytes () -. b0)
+  (ns, !matched, allocated_bytes () -. b0)
 
 let time_incremental seq ~arena ~n_left =
   let st = Bipartite.Incremental.create () in
   let warm = ref (Array.make n_left (-1)) in
   let matched = ref 0 in
-  let b0 = Gc.allocated_bytes () in
+  let b0 = allocated_bytes () in
   let t0 = now_ns () in
   List.iter
     (fun (inst, churned) ->
@@ -103,20 +112,20 @@ let time_incremental seq ~arena ~n_left =
       matched := !matched + o.Bipartite.matched)
     seq;
   let ns = now_ns () -. t0 in
-  (ns, !matched, Gc.allocated_bytes () -. b0)
+  (ns, !matched, allocated_bytes () -. b0)
 
 (* The bare CSR core: no outcome arrays, results stay in the arena.
    This is the ~0 bytes/round row. *)
 let time_csr_hk seq ~arena =
   let matched = ref 0 in
-  let b0 = Gc.allocated_bytes () in
+  let b0 = allocated_bytes () in
   let t0 = now_ns () in
   List.iter
     (fun (inst, _) ->
       matched := !matched + Hopcroft_karp.solve_csr ~arena (Bipartite.csr inst))
     seq;
   let ns = now_ns () -. t0 in
-  (ns, !matched, Gc.allocated_bytes () -. b0)
+  (ns, !matched, allocated_bytes () -. b0)
 
 let run () =
   let records = ref [] in
@@ -185,10 +194,99 @@ let run () =
     scenarios;
   List.rev !records
 
-(* The single pinned point of the CI kernel smoke: the bare CSR
-   Hopcroft-Karp core at n=16384 low churn, checked against an absolute
-   ns/round ceiling (compare.exe --ceiling) so a kernel regression
-   fails fast without waiting for the full bench leg. *)
+(* ------------------------------------------------------------------ *)
+(* Hall certificate on failing rounds                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Below the threshold every round fails.  The instances give 0.75
+   upload slots per request (u = 0.75), unevenly, as a catalog does:
+   blocks of 128 requests of degree 8 over 32 boxes, rich blocks (4-6
+   slots per box) alternating with poor ones (0-2 slots), so each round
+   has a certificate covering the poor blocks while the rich ones are
+   served in full.  The timed row is what the engine's account phase
+   runs on a failing round: [Bipartite.hall_violator] searching from
+   the round's own maximum matching (solved outside the timed region),
+   in a shared arena.  [matched_per_round] carries |X|, the
+   certificate's request count, so a changed certificate shows as drift
+   in the compare gate.  With [~reference] the flow-cut extractor the
+   search replaced ([Check.Certificate.reference_violator], two Dinic
+   max flows over explicit networks) is timed on the same instances as
+   the before row, and the two certificates must be equal. *)
+let certificate_sizes = [ 4096; 16384 ]
+
+let below_threshold_rounds ~seed ~n_left ~rounds =
+  let g = Prng.create ~seed () in
+  let n_right = n_left / 4 in
+  let rich r = r / 32 mod 2 = 0 in
+  List.init rounds (fun _ ->
+      let right_cap =
+        Array.init n_right (fun r -> (if rich r then 4 else 0) + Prng.int g 3)
+      in
+      let inst = Bipartite.create ~n_left ~n_right ~right_cap in
+      for l = 0 to n_left - 1 do
+        for _ = 1 to 8 do
+          Bipartite.add_edge inst ~left:l ~right:((l / 128 * 32) + Prng.int g 32)
+        done
+      done;
+      ignore (Bipartite.adjacency inst);
+      (inst, Bipartite.solve ~algorithm:Bipartite.Hopcroft_karp_matching inst))
+
+let time_certificates rounds ~extract =
+  let x = ref 0 in
+  let b0 = allocated_bytes () in
+  let t0 = now_ns () in
+  List.iter
+    (fun (inst, matching) ->
+      match extract inst matching with
+      | Some v -> x := !x + List.length v.Bipartite.requests
+      | None -> failwith "bench_matching: a below-threshold round has no certificate")
+    rounds;
+  let ns = now_ns () -. t0 in
+  (ns, !x, allocated_bytes () -. b0)
+
+let run_certificate ?(reference = false) sizes =
+  let arena = Arena.create () in
+  List.concat_map
+    (fun n_left ->
+      let rounds = if n_left >= 16384 then 4 else 8 in
+      let seq = below_threshold_rounds ~seed:(0xce27 + n_left) ~n_left ~rounds in
+      let best_of reps extract =
+        ignore (time_certificates [ List.hd seq ] ~extract);
+        let best = ref infinity and x = ref 0 and bytes = ref 0.0 in
+        for _ = 1 to reps do
+          let ns, n, b = time_certificates seq ~extract in
+          if ns < !best then best := ns;
+          x := n;
+          bytes := b
+        done;
+        let r = float_of_int rounds in
+        (!best /. r, float_of_int !x /. r, !bytes /. r)
+      in
+      let mk name (ns_per_round, matched_per_round, alloc_per_round) =
+        { name; n = n_left; rounds; ns_per_round; matched_per_round; alloc_per_round }
+      in
+      let search inst matching = Bipartite.hall_violator ~arena ~matching inst in
+      let after = mk "certificate/hall_violator" (best_of 5 search) in
+      if not reference then [ after ]
+      else begin
+        List.iter
+          (fun (inst, matching) ->
+            if search inst matching <> Check.Certificate.reference_violator inst then
+              failwith
+                (Printf.sprintf
+                   "bench_matching: certificate differs from the reference at n=%d"
+                   n_left))
+          seq;
+        let flow_cut inst _ = Check.Certificate.reference_violator inst in
+        [ after; mk "certificate/reference_violator" (best_of 2 flow_cut) ]
+      end)
+    sizes
+
+(* The pinned points of the CI kernel smoke: the bare CSR Hopcroft-Karp
+   core at n=16384 low churn and the Hall certificate search at
+   n=16384, each checked against an absolute ns/round ceiling
+   (compare.exe --ceiling) so a kernel regression fails fast without
+   waiting for the full bench leg. *)
 let run_smoke () =
   let arena = Arena.create () in
   let n_left = 16384 and rounds = 12 in
@@ -202,16 +300,15 @@ let run_smoke () =
     bytes := b
   done;
   let r = float_of_int rounds in
-  [
-    {
-      name = "matching/csr_hk/low-churn";
-      n = n_left;
-      rounds;
-      ns_per_round = !best /. r;
-      matched_per_round = float_of_int !matched /. r;
-      alloc_per_round = !bytes /. r;
-    };
-  ]
+  {
+    name = "matching/csr_hk/low-churn";
+    n = n_left;
+    rounds;
+    ns_per_round = !best /. r;
+    matched_per_round = float_of_int !matched /. r;
+    alloc_per_round = !bytes /. r;
+  }
+  :: run_certificate [ 16384 ]
 
 (* ------------------------------------------------------------------ *)
 (* Component-sharded solving at swarm scale                            *)
@@ -265,7 +362,7 @@ let run_swarm_pass ~seed ~n_left ~rounds ~solve =
   ignore (solve inst);
   let dirty = Array.make n_left false in
   let matched = ref 0 in
-  let b0 = Gc.allocated_bytes () in
+  let b0 = allocated_bytes () in
   let t0 = now_ns () in
   for _round = 1 to rounds do
     Array.fill dirty 0 n_left false;
@@ -280,7 +377,7 @@ let run_swarm_pass ~seed ~n_left ~rounds ~solve =
     matched := !matched + solve inst
   done;
   let ns = now_ns () -. t0 in
-  { ns; matched = !matched; bytes = Gc.allocated_bytes () -. b0 }
+  { ns; matched = !matched; bytes = allocated_bytes () -. b0 }
 
 (* The sharded path carries its warm seating across rounds, like the
    sharded engine does; stale seats re-validate inside the solver. *)

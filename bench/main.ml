@@ -141,7 +141,7 @@ let () =
   let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
   let obs = Array.exists (fun a -> a = "--obs") Sys.argv in
   let json = json_path () in
-  (* --smoke: only the pinned kernel gate point plus the kernel micro
+  (* --smoke: only the pinned kernel gate points plus the kernel micro
      records, for the CI ceiling check — seconds, not minutes. *)
   if Array.exists (fun a -> a = "--smoke") Sys.argv then begin
     let records = Bench_matching.run_smoke () @ Bench_kernels.run () in
@@ -173,8 +173,9 @@ let () =
     else None
   in
   let records =
-    Bench_matching.run () @ Bench_matching.run_sharded () @ Bench_kernels.run ()
-    @ Bench_serve.run ()
+    Bench_matching.run ()
+    @ Bench_matching.run_certificate ~reference:true Bench_matching.certificate_sizes
+    @ Bench_matching.run_sharded () @ Bench_kernels.run () @ Bench_serve.run ()
   in
   (match recorder with
   | None -> ()

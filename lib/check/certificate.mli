@@ -39,3 +39,11 @@ val check_optimal_pair :
 (** Both certificates individually valid {e and} tight against each
     other: [matched = n_left - deficiency], which proves the matching
     maximum and the violator of maximum deficiency simultaneously. *)
+
+val reference_violator : Vod_graph.Bipartite.t -> Vod_graph.Bipartite.violator option
+(** The flow-cut Hall certificate, computed independently of
+    {!Vod_graph.Bipartite.hall_violator}: two Dinic max flows over
+    explicit flow networks (the second with unbounded request-to-box
+    arcs) and the residual reachability of the minimal minimum cut.
+    Slow and allocation-heavy; the oracle panel requires the production
+    certificate to equal it exactly. *)

@@ -128,7 +128,28 @@ let solver_agreement inst =
                ref_name))
       (Ok ()) layout_pairs
   in
-  match (B.hall_violator bip, reference = inst.Instance.n_left) with
+  (* The production certificate (an alternating-path search from a
+     matching) must equal the flow-cut reference exactly: searched from
+     scratch, from every panel solver's maximum matching, and from a
+     one-round greedy matching, which is usually not maximum and must
+     then be discarded. *)
+  let certificate = Certificate.reference_violator bip in
+  let greedy = B.solve_greedy ~rounds:1 (Vod_util.Prng.create ~seed:0 ()) bip in
+  let* () =
+    List.fold_left
+      (fun acc (name, matching) ->
+        let* () = acc in
+        if B.hall_violator ?matching bip = certificate then Ok ()
+        else
+          Error
+            (Printf.sprintf "hall_violator from %s differs from the flow-cut reference"
+               name))
+      (Ok ())
+      (("no matching", None)
+      :: ("greedy_one_round", Some greedy)
+      :: List.map (fun (name, o) -> (name, Some o)) outcomes)
+  in
+  match (certificate, reference = inst.Instance.n_left) with
   | None, true -> Ok reference
   | None, false ->
       Error

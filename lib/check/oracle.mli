@@ -10,9 +10,12 @@
       both cold and warm-started from another solver's assignment,
       under each of its two backends) run on the same bipartite
       instance must report the same matched cardinality,
-      each matching must replay as a valid assignment, and on deficit
-      the Hall violator must be a checker-confirmed cut witness tight
-      against the matching (König duality);
+      each matching must replay as a valid assignment, the Hall
+      violator searched from scratch, from each solver's matching and
+      from a non-maximum greedy matching must equal the flow-cut
+      reference ({!Certificate.reference_violator}), and on deficit it
+      must be a checker-confirmed cut witness tight against the
+      matching (König duality);
     - {!scheduler_agreement}: the simulator driven by the same demand
       script under the [Arbitrary], [Prefer_cache] and [Sticky]
       schedulers — plus [Arbitrary] and [Sticky] re-run on the

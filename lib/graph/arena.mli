@@ -4,9 +4,10 @@
     An arena is allocated once (per engine, per bench harness, per sweep
     task — arenas are NOT domain-safe, each parallel task owns its own)
     and passed to [Hopcroft_karp.solve_csr], [Dinic.solve_csr],
-    [Push_relabel.solve_csr] or [Bipartite.solve ~arena].  Once every
-    slab has reached the high-water mark of the instances being solved,
-    repeat solves allocate nothing.
+    [Push_relabel.solve_csr], [Bipartite.solve ~arena] or
+    [Bipartite.hall_violator ~arena].  Once every slab has reached the
+    high-water mark of the instances being solved, repeat solves
+    allocate nothing.
 
     Slabs are deliberately exposed: the solvers live in this library and
     index the raw arrays on their hot paths.  Outside code should treat
@@ -31,8 +32,12 @@ type t = {
   warm : slab;  (** validated warm-start seats (Bipartite.Incremental) *)
   (* Hopcroft-Karp (seat-counter capacitated variant) *)
   hk_dist : slab;
-  seat_start : slab;  (** per right: first seat index (prefix sums) *)
-  seats : slab;  (** occupied-seat registry: owning left per seat *)
+  seat_start : slab;
+      (** per right: first seat index (prefix sums); in
+          [Bipartite.hall_violator], the head of its seated-left list *)
+  seats : slab;
+      (** occupied-seat registry: owning left per seat; in
+          [Bipartite.hall_violator], per left the next left on its right *)
   (* Dinic (implicit bipartite network) *)
   level : slab;
   it_left : slab;

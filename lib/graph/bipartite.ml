@@ -98,78 +98,69 @@ let solve ?arena ?(algorithm = Dinic_flow) ?(layout = false) t =
   outcome_of_arena t arena size
 
 (* ------------------------------------------------------------------ *)
-(* Legacy adj-array solver paths                                       *)
-(*                                                                     *)
-(* The historical implementations — an explicit [Flow_network] for the *)
-(* flow algorithms and slot expansion for Hopcroft-Karp — are kept as  *)
-(* independent algorithms so the vod_check oracle panel and the fuzz   *)
-(* harness can diff the CSR/arena cores against them on every          *)
-(* instance.                                                           *)
+(* Legacy adj-array solver paths: the historical implementations (an   *)
+(* explicit [Flow_network] for the flow algorithms, slot expansion for *)
+(* Hopcroft-Karp), kept as independent algorithms so the vod_check     *)
+(* oracle panel and the fuzz harness can diff the CSR/arena cores      *)
+(* against them on every instance.                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Flow-network encoding of Lemma 1: source -> request (cap 1),
-   request -> box (unbounded), box -> sink (cap = upload slots). *)
-let build_network_full t =
-  let src = 0 in
-  let left_base = 1 in
-  let right_base = 1 + n_left t in
-  let sink = 1 + n_left t + n_right t in
-  let right_cap = Csr.right_cap_array t.csr in
-  let adj = adjacency t in
-  let arc_hint =
-    (* src arcs + middle arcs + sink arcs, two arc cells each *)
-    2 * (n_left t + Csr.n_edges t.csr + n_right t)
+(* Flow-network encoding of Lemma 1 over the sorted adjacency, through
+   [add] (an explicit network's edge builder): source 0 -> request
+   [1 + l] (cap 1), request -> box [1 + n_left + r] (cap 1, cost
+   [cost l r]), box -> sink (cap = upload slots).  Returns the sink and
+   the request -> box arcs, row by row. *)
+let lay_network t ~add ~cost =
+  let nl = n_left t and right_cap = Csr.right_cap_array t.csr in
+  let box r = 1 + nl + r and sink = 1 + nl + n_right t in
+  for l = 0 to nl - 1 do
+    ignore (add ~src:0 ~dst:(1 + l) ~cap:1 ~cost:0)
+  done;
+  let middle =
+    Array.mapi
+      (fun l row ->
+        Array.map (fun r -> add ~src:(1 + l) ~dst:(box r) ~cap:1 ~cost:(cost l r)) row)
+      (adjacency t)
   in
-  let net = F.create ~arc_hint (sink + 1) in
-  let src_arcs = Array.make (max (n_left t) 1) 0 in
-  for l = 0 to n_left t - 1 do
-    src_arcs.(l) <- F.add_edge net ~src ~dst:(left_base + l) ~cap:1
-  done;
-  let middle = Array.make (max (n_left t) 1) [||] in
-  for l = 0 to n_left t - 1 do
-    middle.(l) <-
-      Array.map
-        (fun r -> F.add_edge net ~src:(left_base + l) ~dst:(right_base + r) ~cap:1)
-        adj.(l)
-  done;
-  let sink_arcs = Array.make (max (n_right t) 1) 0 in
   for r = 0 to n_right t - 1 do
-    sink_arcs.(r) <- F.add_edge net ~src:(right_base + r) ~dst:sink ~cap:right_cap.(r)
+    ignore (add ~src:(box r) ~dst:sink ~cap:right_cap.(r) ~cost:0)
   done;
-  (net, src, sink, middle, src_arcs, sink_arcs)
+  (sink, middle)
 
-let build_network t =
-  let net, src, sink, middle, _, _ = build_network_full t in
-  (net, src, sink, middle)
-
-let outcome_of_flow t net middle =
+(* The matching carried by the request -> box arcs [middle] (aligned
+   with the sorted adjacency rows) of a solved network. *)
+let outcome_of_middle t ~carries middle =
   let adj = adjacency t in
   let assignment = Array.make (n_left t) (-1) in
   let right_load = Array.make (n_right t) 0 in
   let matched = ref 0 in
-  for l = 0 to n_left t - 1 do
-    Array.iteri
-      (fun i a ->
-        if F.flow net a > 0 then begin
-          let r = adj.(l).(i) in
-          assignment.(l) <- r;
-          right_load.(r) <- right_load.(r) + 1;
-          incr matched
-        end)
-      middle.(l)
-  done;
+  Array.iteri
+    (fun l arcs ->
+      Array.iteri
+        (fun i a ->
+          if carries a then begin
+            let r = adj.(l).(i) in
+            assignment.(l) <- r;
+            right_load.(r) <- right_load.(r) + 1;
+            incr matched
+          end)
+        arcs)
+    middle;
   { matched = !matched; assignment; right_load }
 
 let solve_legacy ?(algorithm = Dinic_flow) t =
   match algorithm with
-  | Dinic_flow ->
-      let net, src, sink, middle = build_network t in
-      let (_ : int) = Dinic.max_flow net ~src ~sink in
-      outcome_of_flow t net middle
-  | Push_relabel_flow ->
-      let net, src, sink, middle = build_network t in
-      let (_ : int) = Push_relabel.max_flow net ~src ~sink in
-      outcome_of_flow t net middle
+  | Dinic_flow | Push_relabel_flow ->
+      (* src arcs + middle arcs + sink arcs, two arc cells each *)
+      let arc_hint = 2 * (n_left t + Csr.n_edges t.csr + n_right t) in
+      let net = F.create ~arc_hint (2 + n_left t + n_right t) in
+      let add ~src ~dst ~cap ~cost:_ = F.add_edge net ~src ~dst ~cap in
+      let sink, middle = lay_network t ~add ~cost:(fun _ _ -> 0) in
+      let (_ : int) =
+        if algorithm = Dinic_flow then Dinic.max_flow net ~src:0 ~sink
+        else Push_relabel.max_flow net ~src:0 ~sink
+      in
+      outcome_of_middle t ~carries:(fun a -> F.flow net a > 0) middle
   | Hopcroft_karp_matching ->
       let r =
         Hopcroft_karp.solve_slots ~n_left:(n_left t) ~n_right:(n_right t)
@@ -180,46 +171,13 @@ let solve_legacy ?(algorithm = Dinic_flow) t =
       { matched = r.Hopcroft_karp.size; assignment = r.assignment; right_load = r.right_load }
 
 let solve_min_cost t ~edge_cost =
-  let src = 0 in
-  let left_base = 1 in
-  let right_base = 1 + n_left t in
-  let sink = 1 + n_left t + n_right t in
-  let right_cap = Csr.right_cap_array t.csr in
-  let net = Min_cost_flow.create (sink + 1) in
-  let adj = adjacency t in
-  for l = 0 to n_left t - 1 do
-    ignore (Min_cost_flow.add_edge net ~src ~dst:(left_base + l) ~cap:1 ~cost:0)
-  done;
-  let middle = Array.make (max (n_left t) 1) [||] in
-  for l = 0 to n_left t - 1 do
-    middle.(l) <-
-      Array.map
-        (fun r ->
-          Min_cost_flow.add_edge net ~src:(left_base + l) ~dst:(right_base + r) ~cap:1
-            ~cost:(edge_cost ~left:l ~right:r))
-        adj.(l)
-  done;
-  for r = 0 to n_right t - 1 do
-    ignore
-      (Min_cost_flow.add_edge net ~src:(right_base + r) ~dst:sink ~cap:right_cap.(r)
-         ~cost:0)
-  done;
-  let _value, _cost = Min_cost_flow.solve net ~src ~sink in
-  let assignment = Array.make (n_left t) (-1) in
-  let right_load = Array.make (n_right t) 0 in
-  let matched = ref 0 in
-  for l = 0 to n_left t - 1 do
-    Array.iteri
-      (fun i a ->
-        if Min_cost_flow.flow net a > 0 then begin
-          let r = adj.(l).(i) in
-          assignment.(l) <- r;
-          right_load.(r) <- right_load.(r) + 1;
-          incr matched
-        end)
-      middle.(l)
-  done;
-  { matched = !matched; assignment; right_load }
+  let net = Min_cost_flow.create (2 + n_left t + n_right t) in
+  let sink, middle =
+    lay_network t ~add:(Min_cost_flow.add_edge net) ~cost:(fun left right ->
+        edge_cost ~left ~right)
+  in
+  let _value, _cost = Min_cost_flow.solve net ~src:0 ~sink in
+  outcome_of_middle t ~carries:(fun a -> Min_cost_flow.flow net a > 0) middle
 
 let solve_greedy ?(until_stable = false) ?warm_start ~rounds g t =
   let adj = adjacency t in
@@ -293,54 +251,94 @@ let is_feasible ?(algorithm = Dinic_flow) t =
 
 type violator = { requests : int list; servers : int list; server_slots : int }
 
-let hall_violator t =
-  let net, src, sink, _middle = build_network t in
-  let value = Dinic.max_flow net ~src ~sink in
-  if value = n_left t then None
-  else begin
-    (* Source side S of the min cut.  X = requests in S; because
-       request->box arcs carry flow at most 1 but have capacity 1 — we
-       need them uncuttable, so recompute reachability treating middle
-       arcs as uncut: a middle arc from a reachable request is only
-       saturated if the request is matched, and then the box is reached
-       through the reverse arc of the box->sink path...  To keep the
-       certificate exact we rebuild the network with unbounded middle
-       arcs. *)
-    let adj = adjacency t in
-    let right_cap = Csr.right_cap_array t.csr in
-    let left_base = 1 in
-    let right_base = 1 + n_left t in
-    let sink' = 1 + n_left t + n_right t in
-    let net' = F.create (sink' + 1) in
-    for l = 0 to n_left t - 1 do
-      ignore (F.add_edge net' ~src:0 ~dst:(left_base + l) ~cap:1)
-    done;
-    for l = 0 to n_left t - 1 do
-      Array.iter
-        (fun r ->
-          ignore
-            (F.add_edge net' ~src:(left_base + l) ~dst:(right_base + r)
-               ~cap:F.infinite_capacity))
-        adj.(l)
-    done;
-    for r = 0 to n_right t - 1 do
-      ignore (F.add_edge net' ~src:(right_base + r) ~dst:sink' ~cap:right_cap.(r))
-    done;
-    let value' = Dinic.max_flow net' ~src:0 ~sink:sink' in
-    assert (value' = value);
-    let reachable = F.residual_reachable net' ~src:0 in
-    let requests = ref [] and servers = ref [] and slots = ref 0 in
-    for l = n_left t - 1 downto 0 do
-      if Bitset.mem reachable (left_base + l) then requests := l :: !requests
-    done;
-    for r = n_right t - 1 downto 0 do
-      if Bitset.mem reachable (right_base + r) then begin
-        servers := r :: !servers;
-        slots := !slots + right_cap.(r)
+(* König's construction.  Under a maximum matching, the requests and
+   boxes reachable from the unmatched requests along alternating paths
+   (request -> every adjacent box -> the requests seated on it) are the
+   source side of the minimal minimum cut of Lemma 1's network with
+   unbounded request -> box arcs, the same for every maximum flow.  The
+   BFS runs in arena scratch: per box a linked list of its seated
+   requests ([seat_start] heads, [seats] links), the worklist [queue]
+   and the reached boxes [visited_right]; a matched request is enqueued
+   when its one box is reached, so requests need no visited set.
+   [false] as soon as a reached box has a free seat: the matching is
+   then not maximum (Berge). *)
+let alternating_reach arena csr assignment =
+  let nl = Csr.n_left csr and nr = Csr.n_right csr in
+  let row_start = Csr.row_start csr and col = Csr.col csr in
+  let cap = Csr.right_cap_array csr in
+  let first = Arena.ints arena.Arena.seat_start (max nr 1) in
+  let next = Arena.ints arena.Arena.seats (max nl 1) in
+  let queue = Arena.ints arena.Arena.queue (max nl 1) in
+  let reached = Arena.bits arena.Arena.visited_right nr in
+  Array.fill first 0 nr (-1);
+  Bitset.clear reached;
+  let head = ref 0 and tail = ref 0 and maximum = ref true in
+  let push l =
+    queue.(!tail) <- l;
+    incr tail
+  in
+  for l = 0 to nl - 1 do
+    let r = assignment.(l) in
+    if r < 0 then push l
+    else begin
+      next.(l) <- first.(r);
+      first.(r) <- l
+    end
+  done;
+  while !maximum && !head < !tail do
+    let l = queue.(!head) in
+    incr head;
+    for i = row_start.(l) to row_start.(l + 1) - 1 do
+      let r = col.(i) in
+      if not (Bitset.unsafe_mem reached r) then begin
+        Bitset.unsafe_add reached r;
+        let seated = ref first.(r) and load = ref 0 in
+        while !seated >= 0 do
+          push !seated;
+          incr load;
+          seated := next.(!seated)
+        done;
+        if !load < cap.(r) then maximum := false
       end
-    done;
-    Some { requests = !requests; servers = !servers; server_slots = !slots }
-  end
+    done
+  done;
+  !maximum
+
+let hall_violator ?arena ?matching t =
+  let arena = match arena with Some a -> a | None -> Arena.create () in
+  let csr = csr t in
+  let nl = Csr.n_left csr in
+  let is_maximum (o : outcome) =
+    if Array.length o.assignment <> nl then
+      invalid_arg "Bipartite.hall_violator: matching length mismatch";
+    alternating_reach arena csr o.assignment
+  in
+  let assignment =
+    match matching with
+    | Some o when is_maximum o -> o.assignment
+    | Some _ | None ->
+        (* no matching, or one that is not maximum: solve afresh *)
+        let (_ : int) = Hopcroft_karp.solve_csr ~arena csr in
+        let a = Arena.assignment arena in
+        let maximum = alternating_reach arena csr a in
+        assert maximum;
+        a
+  in
+  (* X: the unmatched requests and those seated on a reached box *)
+  let reached = arena.Arena.visited_right.Arena.bits in
+  let requests = ref [] and servers = ref [] and slots = ref 0 in
+  for l = nl - 1 downto 0 do
+    let r = assignment.(l) in
+    if r < 0 || Bitset.mem reached r then requests := l :: !requests
+  done;
+  for r = Csr.n_right csr - 1 downto 0 do
+    if Bitset.unsafe_mem reached r then begin
+      servers := r :: !servers;
+      slots := !slots + (Csr.right_cap_array csr).(r)
+    end
+  done;
+  if !requests = [] then None
+  else Some { requests = !requests; servers = !servers; server_slots = !slots }
 
 (* ------------------------------------------------------------------ *)
 (* Warm-start incremental solving                                      *)

@@ -6,8 +6,11 @@
 
     Lemma 1 (min-cut max-flow / generalised Hall): a full matching exists
     iff every request subset [X] satisfies [slots(B(X)) >= |X|].  When no
-    full matching exists, {!hall_violator} extracts a violating set from
-    the minimum cut as an explicit infeasibility certificate. *)
+    full matching exists, {!hall_violator} extracts a violating set as
+    an explicit infeasibility certificate: the requests and boxes
+    reachable from the unmatched requests along alternating paths of a
+    maximum matching (König's construction) — the same set as the
+    source side of the minimal minimum cut. *)
 
 type t
 
@@ -126,10 +129,26 @@ type violator = {
   server_slots : int;  (** Total upload slots of B(X), < |X|. *)
 }
 
-val hall_violator : t -> violator option
+val hall_violator : ?arena:Arena.t -> ?matching:outcome -> t -> violator option
 (** [None] when the instance is feasible; otherwise a certificate set
-    [X] with [slots(B(X)) < |X|], extracted from the min cut of a
-    maximum flow. *)
+    [X] with [slots(B(X)) < |X|]: [X] is every request reachable from an
+    unmatched request along alternating paths of a maximum matching
+    (request -> any adjacent box -> the requests seated on it), and
+    [servers] the boxes reached, all of them full.  This is the source
+    side of the minimal minimum cut of the flow network of Lemma 1, the
+    same set under every maximum matching, so the certificate does not
+    depend on which solver produced the matching.  Both lists ascend.
+
+    [matching] (typically the round's own outcome) is the matching to
+    search from; it must be a matching of [t], as every solver's
+    outcome is, and is not revalidated.  When it is not maximum — a
+    reached box still has a free seat, e.g. after {!solve_greedy} — it
+    is discarded and a Hopcroft–Karp solve replaces it; without
+    [matching] that solve runs directly.  [arena] as in {!val:solve}:
+    the search (per-box seated-request lists, the worklist and the
+    reached set) runs in arena scratch and only the result lists are
+    allocated.
+    @raise Invalid_argument when [matching] has the wrong length. *)
 
 (** Warm-start incremental solving.
 

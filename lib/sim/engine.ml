@@ -76,7 +76,7 @@ type t = {
   topology : Topology.t option;
   online : bool array;
   helper : bool array; (* spare-upload boxes that never take demands *)
-  mutable last_loads : int array;
+  last_loads : int array; (* per box: slots used last round *)
   cumulative_loads : int array; (* stripe-rounds served per box, ever *)
   capacity : int array; (* matching upload slots per box, net of reservations *)
   upload_factor : float array; (* per-box degradation factor in [0, 1] *)
@@ -856,7 +856,7 @@ let step t =
   in
   let report =
     Vod_obs.Span.with_ ~name:"account" @@ fun () ->
-    t.last_loads <- Array.copy outcome.Vod_graph.Bipartite.right_load;
+    Array.blit outcome.Vod_graph.Bipartite.right_load 0 t.last_loads 0 n;
     Array.iteri
       (fun b load -> t.cumulative_loads.(b) <- t.cumulative_loads.(b) + load)
       outcome.Vod_graph.Bipartite.right_load;
@@ -923,7 +923,8 @@ let step t =
     Vod_obs.Registry.add obs_unserved unserved;
     Vod_obs.Registry.add obs_repair_served !repair_served;
     if outcome.Vod_graph.Bipartite.matched < n_left then
-      t.last_violator <- Vod_graph.Bipartite.hall_violator instance;
+      t.last_violator <-
+        Vod_graph.Bipartite.hall_violator ~arena:t.arena ~matching:outcome instance;
     let busy = ref 0 and offline = ref 0 in
     for b = 0 to n - 1 do
       if not (is_idle t b) then incr busy;

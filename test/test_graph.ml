@@ -256,6 +256,38 @@ let test_bipartite_empty () =
   checkb "empty feasible" true (Bipartite.is_feasible b);
   checkb "no violator" true (Bipartite.hall_violator b = None)
 
+(* Random instances with the certificate's corner cases: zero-capacity
+   boxes, requests with no edge at all, and duplicate edges. *)
+let certificate_instance g ~n_left ~n_right =
+  let right_cap = Array.init n_right (fun _ -> Prng.int g 3) in
+  let b = Bipartite.create ~n_left ~n_right ~right_cap in
+  for l = 0 to n_left - 1 do
+    if Prng.int g 5 > 0 then
+      for _ = 0 to Prng.int g 3 do
+        let r = Prng.int g n_right in
+        Bipartite.add_edge b ~left:l ~right:r;
+        if Prng.bool g then Bipartite.add_edge b ~left:l ~right:r
+      done
+  done;
+  b
+
+let test_violator_from_non_maximum_matching () =
+  (* 200 requests over 50 boxes of 0-2 slots: one proposal round leaves
+     augmenting paths, so the search must discard the greedy matching
+     and still return the flow-cut certificate *)
+  let g = Prng.create ~seed:0xce27 () in
+  let b = certificate_instance g ~n_left:200 ~n_right:50 in
+  let greedy = Bipartite.solve_greedy ~rounds:1 (Prng.create ~seed:1 ()) b in
+  let maximum = Bipartite.solve ~algorithm:Bipartite.Hopcroft_karp_matching b in
+  checkb "greedy matching is not maximum" true
+    (greedy.Bipartite.matched < maximum.Bipartite.matched);
+  let reference = Vod_check.Certificate.reference_violator b in
+  checkb "instance is infeasible" true (reference <> None);
+  checkb "same certificate from the greedy matching" true
+    (Bipartite.hall_violator ~matching:greedy b = reference);
+  checkb "same certificate from a maximum matching" true
+    (Bipartite.hall_violator ~matching:maximum b = reference)
+
 (* Brute-force maximum b-matching on tiny instances, for ground truth. *)
 let brute_force_max_matching ~n_left ~adj ~right_cap =
   let best = ref 0 in
@@ -616,6 +648,22 @@ let qcheck_cases =
             && neighbours_covered
             && slots = v.Bipartite.server_slots
             && slots < List.length v.Bipartite.requests);
+    Test.make ~name:"hall violator equals the flow-cut reference" ~count:300 arb
+      (fun (seed, n_left, n_right) ->
+        let g = Prng.create ~seed () in
+        let b = certificate_instance g ~n_left ~n_right in
+        let reference = Vod_check.Certificate.reference_violator b in
+        (* one dirty arena across every search, as in the engine *)
+        let arena = Arena.create () in
+        let from matching = Bipartite.hall_violator ~arena ?matching b = reference in
+        from None
+        && List.for_all
+             (fun algorithm -> from (Some (Bipartite.solve ~algorithm b)))
+             [
+               Bipartite.Dinic_flow; Bipartite.Push_relabel_flow;
+               Bipartite.Hopcroft_karp_matching;
+             ]
+        && from (Some (Bipartite.solve_greedy ~rounds:1 g b)));
     Test.make ~name:"CSR builder round-trips arbitrary adjacencies" ~count:200 arb
       (fun (seed, n_left, n_right) ->
         let g = Prng.create ~seed () in
@@ -936,6 +984,8 @@ let suites =
         Alcotest.test_case "violator localised" `Quick test_bipartite_violator_is_localised;
         Alcotest.test_case "zero-capacity boxes" `Quick test_bipartite_zero_capacity_boxes;
         Alcotest.test_case "empty instance" `Quick test_bipartite_empty;
+        Alcotest.test_case "violator from non-maximum matching" `Quick
+          test_violator_from_non_maximum_matching;
         Alcotest.test_case "matches brute force" `Quick test_matching_vs_bruteforce;
       ] );
     ( "graph.expander",

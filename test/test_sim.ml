@@ -160,6 +160,36 @@ let test_continue_policy_records_violator () =
   let r2 = Engine.step sim in
   checkb "still running" true (r2.Engine.time = 2)
 
+let test_greedy_shortfall_has_no_violator () =
+  (* one proposal round at u=2: greedy leaves requests unmatched on
+     rounds a maximum matching serves in full, and such a shortfall is
+     no Hall obstruction *)
+  let params, fleet, alloc = build_system ~n:32 () in
+  let sim =
+    Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue
+      ~scheduler:(Engine.Greedy_proposals 1) ()
+  in
+  let g = Prng.create ~seed:4 () in
+  let gen = Vod_workload.Generators.uniform_arrivals g ~rate:4.0 in
+  let shortfalls = ref 0 in
+  for round = 1 to 40 do
+    List.iter
+      (fun (box, video) -> ignore (Engine.try_demand sim ~box ~video))
+      (gen sim round);
+    let r = Engine.step sim in
+    let feasible =
+      match Engine.last_instance sim with
+      | Some inst -> Vod_graph.Bipartite.is_feasible inst
+      | None -> true
+    in
+    if r.Engine.unserved > 0 && feasible then begin
+      incr shortfalls;
+      checkb "no certificate for a greedy shortfall" true
+        (Engine.last_violator sim = None)
+    end
+  done;
+  checkb "greedy fell short on a feasible round" true (!shortfalls > 0)
+
 let test_determinism () =
   let run_once () =
     let params, fleet, alloc = build_system () in
@@ -347,6 +377,8 @@ let suites =
         Alcotest.test_case "cache serving" `Quick test_cache_serving;
         Alcotest.test_case "defeated raises" `Quick test_defeated_raises;
         Alcotest.test_case "continue policy + violator" `Quick test_continue_policy_records_violator;
+        Alcotest.test_case "greedy shortfall, no violator" `Quick
+          test_greedy_shortfall_has_no_violator;
         Alcotest.test_case "determinism" `Quick test_determinism;
         Alcotest.test_case "zipf workload" `Quick test_run_with_zipf_workload;
         Alcotest.test_case "flash crowd" `Quick test_flash_crowd_respects_mu;
