@@ -9,16 +9,14 @@ test:
 	dune runtest
 
 # Short-budget differential fuzz pass (separate from `dune runtest`):
-# 200 random bipartite instances x 17 max-matching solvers (incl. the
-# warm-start incremental solver, cold and warm, the component-sharded
-# solver at three shard/jobs settings, whose merged assignment must be
-# bit-identical to Hopcroft-Karp's, and the layout-renumbered solver
-# variants) plus 6 simulated scenarios x 9 lockstep engines (3
-# schedulers + 2 incremental + 2 sharded + 2 layout),
-# every engine failure round certified by an independent Hall-violator
-# check.  Fixed seed, so the pass is deterministic and CI-friendly.
-# The verdict carries a one-line obs summary of the solver counters
-# (vod_obs).
+# 200 random bipartite instances x 7 max-matching solvers (the CSR
+# Hopcroft-Karp production core against its Dinic, push-relabel,
+# legacy and min-cost references) plus 6 simulated scenarios x 3
+# lockstep scheduler engines (plus an arbitrary twin forced onto the
+# scratch build, whose instance must equal the delta-built one), every
+# engine failure round certified by an independent Hall-violator check.  Fixed seed, so the pass is
+# deterministic and CI-friendly.  The verdict carries a one-line obs
+# summary of the solver counters (vod_obs).
 check: build
 	dune build @fuzz
 
@@ -49,13 +47,13 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- --quick $(BENCH_ARGS)
 
-# Machine-readable perf trajectory: scratch / warm-start incremental /
+# Machine-readable perf trajectory: engine solve (Bipartite.solve) and
 # bare CSR Hopcroft-Karp records (ns, matched and allocated bytes per
-# round) at n in {256, 1024, 4096, 16384}, plus the component-sharded
-# swarm points at n in {262144, 1000000} (delta-CSR rebuild + sharded
-# solve per round) and the service-loop points (`vodctl serve` round
-# cost and admission-decision latency at n=16384, bench_serve.ml),
-# written to BENCH_matching.json at the repo root.
+# round) at n in {256, 1024, 4096, 16384}, plus the swarm points at n in
+# {262144, 1000000} (delta-CSR rebuild + Hopcroft-Karp solve per round)
+# and the service-loop points (`vodctl serve` round cost and
+# admission-decision latency at n=16384, bench_serve.ml), written to
+# BENCH_matching.json at the repo root.
 # The printed output also carries the catalog-scaling sweep (ns/round/n
 # across six orders of magnitude — Theorem 1's linear admission cost).
 bench-json:

@@ -1,12 +1,13 @@
-(* Scratch-vs-incremental matching benchmark.
+(* Connection-matching benchmark.
 
    Synthesises round sequences that mimic the engine's per-round
    instance delta — a small fraction of requests departs and is
    replaced by fresh arrivals each round, capacities drift slightly —
-   and times three paths over the identical instance sequence:
+   and times two paths over the identical instance sequence:
 
-     scratch      Bipartite.solve (Dinic CSR core) into a shared arena
-     incremental  warm-start repair (Bipartite.solve_incremental)
+     scratch      Bipartite.solve (its Hopcroft–Karp default, what the
+                  engine's Arbitrary scheduler runs) into a shared
+                  arena, outcome arrays included
      csr_hk       the bare Hopcroft–Karp CSR core over a shared arena,
                   no outcome materialisation — the zero-allocation path
 
@@ -35,9 +36,8 @@ let scenarios = [ { label = "low-churn"; churn = 0.02 }; { label = "high-churn";
 let sizes = [ 256; 1024; 4096; 16384 ]
 
 (* One identity-stable synthetic round sequence: request l keeps its row
-   (and hence its warm seat) unless churned, in which case it models a
-   departure plus a fresh arrival.  Returns the instances plus the
-   per-round churn sets (the lefts whose warm seat must be dropped). *)
+   unless churned, in which case it models a departure plus a fresh
+   arrival. *)
 let make_sequence ~seed ~n_left ~rounds ~churn =
   let g = Prng.create ~seed () in
   let n_right = max 1 (n_left / 4) in
@@ -47,12 +47,8 @@ let make_sequence ~seed ~n_left ~rounds ~churn =
   let adj = Array.init n_left (fun _ -> fresh_row ()) in
   let instances = ref [] in
   for _round = 1 to rounds do
-    let churned = ref [] in
     for l = 0 to n_left - 1 do
-      if Prng.float g 1.0 < churn then begin
-        adj.(l) <- fresh_row ();
-        churned := l :: !churned
-      end
+      if Prng.float g 1.0 < churn then adj.(l) <- fresh_row ()
     done;
     (* capacity drift: a couple of boxes gain or lose one upload slot *)
     for _ = 1 to max 1 (n_right / 128) do
@@ -67,7 +63,7 @@ let make_sequence ~seed ~n_left ~rounds ~churn =
        pays for either *)
     ignore (Bipartite.csr inst);
     ignore (Bipartite.adjacency inst);
-    instances := (inst, !churned) :: !instances
+    instances := inst :: !instances
   done;
   List.rev !instances
 
@@ -90,25 +86,8 @@ let time_scratch seq ~arena =
   let b0 = allocated_bytes () in
   let t0 = now_ns () in
   List.iter
-    (fun (inst, _) ->
+    (fun inst ->
       let o = Bipartite.solve ~arena inst in
-      matched := !matched + o.Bipartite.matched)
-    seq;
-  let ns = now_ns () -. t0 in
-  (ns, !matched, allocated_bytes () -. b0)
-
-let time_incremental seq ~arena ~n_left =
-  let st = Bipartite.Incremental.create () in
-  let warm = ref (Array.make n_left (-1)) in
-  let matched = ref 0 in
-  let b0 = allocated_bytes () in
-  let t0 = now_ns () in
-  List.iter
-    (fun (inst, churned) ->
-      (* departures/arrivals lose their seat; survivors keep theirs *)
-      List.iter (fun l -> !warm.(l) <- -1) churned;
-      let o = Bipartite.solve_incremental st ~arena ~warm_start:!warm inst in
-      warm := o.Bipartite.assignment;
       matched := !matched + o.Bipartite.matched)
     seq;
   let ns = now_ns () -. t0 in
@@ -121,7 +100,7 @@ let time_csr_hk seq ~arena =
   let b0 = allocated_bytes () in
   let t0 = now_ns () in
   List.iter
-    (fun (inst, _) ->
+    (fun inst ->
       matched := !matched + Hopcroft_karp.solve_csr ~arena (Bipartite.csr inst))
     seq;
   let ns = now_ns () -. t0 in
@@ -144,7 +123,6 @@ let run () =
           (* warm all paths once (allocator, code, arena growth) before
              timing *)
           ignore (time_scratch [ List.hd seq ] ~arena);
-          ignore (time_incremental [ List.hd seq ] ~arena ~n_left);
           ignore (time_csr_hk [ List.hd seq ] ~arena);
           (* best-of-5: scheduler hiccups only ever add time, so the
              minimum is the stable estimate the regression gate needs;
@@ -162,16 +140,12 @@ let run () =
           let scratch_ns, scratch_matched, scratch_b =
             best_of (fun () -> time_scratch seq ~arena)
           in
-          let inc_ns, inc_matched, inc_b =
-            best_of (fun () -> time_incremental seq ~arena ~n_left)
-          in
           let hk_ns, hk_matched, hk_b = best_of (fun () -> time_csr_hk seq ~arena) in
-          if scratch_matched <> inc_matched || scratch_matched <> hk_matched then
+          if scratch_matched <> hk_matched then
             failwith
               (Printf.sprintf
-                 "bench_matching: solvers disagree at n=%d %s (scratch %d, \
-                  incremental %d, csr_hk %d)"
-                 n_left label scratch_matched inc_matched hk_matched);
+                 "bench_matching: solvers disagree at n=%d %s (scratch %d, csr_hk %d)"
+                 n_left label scratch_matched hk_matched);
           let r = float_of_int rounds in
           let mk name ns matched bytes =
             {
@@ -185,8 +159,6 @@ let run () =
           in
           records :=
             mk (Printf.sprintf "matching/csr_hk/%s" label) hk_ns hk_matched hk_b
-            :: mk (Printf.sprintf "matching/incremental/%s" label) inc_ns inc_matched
-                 inc_b
             :: mk (Printf.sprintf "matching/scratch/%s" label) scratch_ns
                  scratch_matched scratch_b
             :: !records)
@@ -311,16 +283,15 @@ let run_smoke () =
   :: run_certificate [ 16384 ]
 
 (* ------------------------------------------------------------------ *)
-(* Component-sharded solving at swarm scale                            *)
+(* Delta-rebuilt solving at swarm scale                                *)
 (* ------------------------------------------------------------------ *)
 
 (* Swarm-structured instances: the catalog decomposes the fleet into
    independent swarms, so a round's bipartite instance is a disjoint
-   union of blocks — exactly the shape the component sharder exploits.
-   [block_lefts] requests share [block_rights] boxes; churn rewrites a
-   row inside its own block, so the component structure is stable and a
-   delta rebuild touches only the dirty rows.  This is the regime of
-   the large-n acceptance points (n = 262144 and n = 1e6). *)
+   union of blocks.  [block_lefts] requests share [block_rights] boxes;
+   churn rewrites a row inside its own block, so a delta rebuild
+   touches only the dirty rows, as the engine's build does.  This is
+   the regime of the large-n scale points (n = 262144 and n = 1e6). *)
 let block_lefts = 128
 let block_rights = 32
 let swarm_degree = 8
@@ -379,23 +350,12 @@ let run_swarm_pass ~seed ~n_left ~rounds ~solve =
   let ns = now_ns () -. t0 in
   { ns; matched = !matched; bytes = allocated_bytes () -. b0 }
 
-(* The sharded path carries its warm seating across rounds, like the
-   sharded engine does; stale seats re-validate inside the solver. *)
-let sharded_solve ~n_left () =
-  let sh = Shard.create () in
-  let jobs = max 1 (Par.default_jobs ()) in
-  let warm = Array.make (max n_left 1) (-1) in
-  fun inst ->
-    let size = Shard.solve ~jobs ~warm_start:warm sh (Bipartite.csr inst) in
-    Array.blit (Shard.assignment sh) 0 warm 0 n_left;
-    size
-
 let hk_solve ~arena inst = Hopcroft_karp.solve_csr ~arena (Bipartite.csr inst)
 let scale_sizes = [ 262_144; 1_000_000 ]
 
-let run_sharded () =
+let run_swarms () =
   let arena = Arena.create () in
-  List.concat_map
+  List.map
     (fun n_left ->
       let rounds = if n_left >= 1_000_000 then 3 else 6 in
       let reps = if n_left >= 1_000_000 then 2 else 3 in
@@ -408,29 +368,17 @@ let run_sharded () =
         !p
       in
       let seed = 0x5a2d + n_left in
-      let sharded =
-        best (fun () ->
-            run_swarm_pass ~seed ~n_left ~rounds ~solve:(sharded_solve ~n_left ()))
-      in
-      let hk =
+      let p =
         best (fun () -> run_swarm_pass ~seed ~n_left ~rounds ~solve:(hk_solve ~arena))
       in
-      if sharded.matched <> hk.matched then
-        failwith
-          (Printf.sprintf
-             "bench_matching: sharded disagrees with csr_hk at n=%d (%d vs %d)"
-             n_left sharded.matched hk.matched);
-      let mk name p =
-        {
-          name;
-          n = n_left;
-          rounds;
-          ns_per_round = p.ns /. float_of_int rounds;
-          matched_per_round = float_of_int p.matched /. float_of_int rounds;
-          alloc_per_round = p.bytes /. float_of_int rounds;
-        }
-      in
-      [ mk "matching/sharded/swarms" sharded; mk "matching/csr_hk/swarms" hk ])
+      {
+        name = "matching/csr_hk/swarms";
+        n = n_left;
+        rounds;
+        ns_per_round = p.ns /. float_of_int rounds;
+        matched_per_round = float_of_int p.matched /. float_of_int rounds;
+        alloc_per_round = p.bytes /. float_of_int rounds;
+      })
     scale_sizes
 
 (* Catalog-scaling sweep: the per-request admission cost must stay flat
@@ -440,6 +388,7 @@ let run_sharded () =
 let sweep_sizes = [ 10; 100; 1000; 10_000; 100_000; 1_000_000 ]
 
 let print_scaling_sweep () =
+  let arena = Arena.create () in
   let tbl =
     Table.create
       ~columns:
@@ -460,8 +409,7 @@ let print_scaling_sweep () =
         else 3
       in
       let p =
-        run_swarm_pass ~seed:(0x51ee + n_left) ~n_left ~rounds
-          ~solve:(sharded_solve ~n_left ())
+        run_swarm_pass ~seed:(0x51ee + n_left) ~n_left ~rounds ~solve:(hk_solve ~arena)
       in
       let per_round = p.ns /. float_of_int rounds in
       Table.add_row tbl
@@ -474,7 +422,7 @@ let print_scaling_sweep () =
         ])
     sweep_sizes;
   Table.print
-    ~title:"Sharded matching: catalog scaling (admission cost per request, Theorem 1)"
+    ~title:"Swarm matching: catalog scaling (admission cost per request, Theorem 1)"
     tbl
 
 let print_table records =
@@ -502,15 +450,15 @@ let print_table records =
           Printf.sprintf "%.0f" r.alloc_per_round;
         ])
     records;
-  Table.print ~title:"Connection matching: scratch vs warm-start incremental" tbl;
-  (* headline: the ratio the acceptance gate watches *)
+  Table.print ~title:"Connection matching: engine solve vs bare CSR Hopcroft-Karp" tbl;
+  (* headline: what the outcome materialisation costs on top of the core *)
   let find name n = List.find_opt (fun r -> r.name = name && r.n = n) records in
   match
-    (find "matching/scratch/low-churn" 4096, find "matching/incremental/low-churn" 4096)
+    (find "matching/scratch/low-churn" 16384, find "matching/csr_hk/low-churn" 16384)
   with
-  | Some s, Some i when i.ns_per_round > 0.0 ->
-      Printf.printf "low-churn n=4096 speed-up (scratch / incremental): %.1fx\n"
-        (s.ns_per_round /. i.ns_per_round)
+  | Some s, Some h when h.ns_per_round > 0.0 ->
+      Printf.printf "low-churn n=16384 overhead (scratch / csr_hk): %.2fx\n"
+        (s.ns_per_round /. h.ns_per_round)
   | _ -> ()
 
 let emit_json records ~path =

@@ -250,44 +250,6 @@ let rate_arg =
   Arg.(
     value & opt float 2.0 & info [ "rate" ] ~docv:"RATE" ~doc:"Mean arrivals per round.")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("scratch", Vod.Engine.Scratch);
-             ("incremental", Vod.Engine.Incremental);
-             ("sharded", Vod.Engine.Sharded);
-           ])
-        Vod.Engine.Scratch
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Per-round matching engine: $(b,scratch) (re-solve the max flow every round), \
-           $(b,incremental) (warm-start the solver with the previous round's matching \
-           and repair only the delta) or $(b,sharded) (partition the instance along its \
-           connected components, solve shards in parallel over --jobs workers and \
-           rebuild only the rows churn touched; output is identical for any --jobs).")
-
-let sim_jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the $(b,sharded) engine's shard solves (OCaml >= 5; the \
-           sequential backend ignores extra workers).  Never changes the output, only \
-           the wall-clock time.")
-
-let layout_arg =
-  Arg.(
-    value & flag
-    & info [ "layout" ]
-        ~doc:
-          "Solve each round through the component-clustered layout renumbering \
-           (cache-aware vertex ordering).  Results are emitted in original ids and \
-           are bit-identical to the direct solve; only the wall-clock time may \
-           change.")
-
 (* Names of the solver counters worth a one-line summary after a run. *)
 let solver_counters =
   [
@@ -295,12 +257,11 @@ let solver_counters =
     "dinic.augmenting_paths";
     "pr.pushes";
     "pr.relabels";
-    "matching.fallbacks";
   ]
 
 let simulate_cmd =
-  let run n u d c k m mu duration rounds seed scheme workload rate engine jobs layout
-      csv load obs_out obs_summary =
+  let run n u d c k m mu duration rounds seed scheme workload rate csv load obs_out
+      obs_summary =
     try
       let params, fleet, alloc =
         match load with
@@ -327,10 +288,7 @@ let simulate_cmd =
         end
         else None
       in
-      let sim =
-        Vod.Engine.create ~params ~fleet ~alloc ~policy:Vod.Engine.Continue
-          ~matching:engine ~jobs ~layout ()
-      in
+      let sim = Vod.Engine.create ~params ~fleet ~alloc ~policy:Vod.Engine.Continue () in
       let g = Vod.Prng.create ~seed:(seed + 7) () in
       let gen =
         match workload with
@@ -352,16 +310,6 @@ let simulate_cmd =
           (Vod.Stats.mean fdelays)
           (Array.fold_left Float.max 0.0 fdelays)
       end;
-      (match Vod.Engine.matching_stats sim with
-      | None -> ()
-      | Some s ->
-          Printf.printf
-            "incremental matcher: %d rounds (%d warm-start, %d full solves), %d seats \
-             kept, %d requests repaired\n"
-            s.Vod.Bipartite.Incremental.rounds
-            s.Vod.Bipartite.Incremental.incremental_solves
-            s.Vod.Bipartite.Incremental.full_solves s.Vod.Bipartite.Incremental.reseated
-            s.Vod.Bipartite.Incremental.repaired);
       (match metrics.Vod.Metrics.first_failure with
       | None -> print_endline "verdict: every request served on time"
       | Some t -> Printf.printf "verdict: first failed round at t = %d\n" t);
@@ -422,8 +370,7 @@ let simulate_cmd =
       ret
         (const run $ n_arg $ u_arg $ d_arg $ c_arg $ k_arg $ m_arg $ mu_arg
        $ duration_arg $ rounds_arg $ seed_arg $ scheme_arg $ workload_arg $ rate_arg
-       $ engine_arg $ sim_jobs_arg $ layout_arg $ csv_arg $ load_arg $ obs_out_arg
-       $ obs_summary_arg))
+       $ csv_arg $ load_arg $ obs_out_arg $ obs_summary_arg))
 
 (* ------------------------------------------------------------------ *)
 (* attack                                                              *)
@@ -530,8 +477,7 @@ let sweep_cmd =
                   (Vod.Obs.Registry.counter reg "sweep.battery_failures");
               let params = Vod.Params.make ~n ~c ~mu:1.2 ~duration:30 in
               let sim =
-                Vod.Engine.create ~params ~fleet ~alloc
-                  ~policy:Vod.Engine.Continue ~matching:Vod.Engine.Incremental ()
+                Vod.Engine.create ~params ~fleet ~alloc ~policy:Vod.Engine.Continue ()
               in
               let wg = Vod.Prng.create ~seed:(seed' + 1) () in
               let workload =
@@ -748,8 +694,8 @@ let check_cmd =
           Vod.Check.Fuzz.run ~seed ~instances ~scenarios ~rounds ?repro_dir ()
         in
         Printf.printf
-          "differential check (seed %d): %d bipartite instances x 17 solvers, %d \
-           scenarios x 9 engines (3 schedulers + 2 incremental + 2 sharded + 2 layout)\n"
+          "differential check (seed %d): %d bipartite instances x 7 solvers, %d \
+           scenarios x 3 scheduler engines + a scratch-build twin\n"
           seed summary.Vod.Check.Fuzz.instances_checked
           summary.Vod.Check.Fuzz.scenarios_checked;
         Printf.printf
@@ -1399,12 +1345,11 @@ let battery_cmd =
   let configs_arg =
     Arg.(
       value
-      & opt string "scratch,incremental"
+      & opt string "scratch"
       & info [ "configs" ] ~docv:"LIST"
           ~doc:
             "Comma-separated engine configs forming the matrix columns: $(b,scratch), \
-             $(b,incremental), $(b,sticky), $(b,prefer-cache), $(b,balance-load), \
-             $(b,round-robin).")
+             $(b,sticky), $(b,prefer-cache), $(b,balance-load), $(b,round-robin).")
   in
   let jobs_arg =
     Arg.(
@@ -1564,8 +1509,7 @@ let top_cmd =
     end;
     Buffer.contents b
   in
-  let run scenario n u d c k m mu duration rounds seed scheme workload rate engine
-      interval =
+  let run scenario n u d c k m mu duration rounds seed scheme workload rate interval =
     if interval < 1 then `Error (false, "--interval must be >= 1")
     else begin
       let tty = Vod.Obs.Dash.isatty () in
@@ -1643,8 +1587,7 @@ let top_cmd =
               build_system ~n ~u ~d ~c ~k ~m ~mu ~duration ~seed ~scheme
             in
             let sim =
-              Vod.Engine.create ~params ~fleet ~alloc ~policy:Vod.Engine.Continue
-                ~matching:engine ()
+              Vod.Engine.create ~params ~fleet ~alloc ~policy:Vod.Engine.Continue ()
             in
             let tele = Vod.Telemetry.create ~slos:(Vod.Telemetry.default_slos ()) () in
             let title = Printf.sprintf "vodctl top — simulate n=%d" n in
@@ -1710,7 +1653,7 @@ let top_cmd =
       ret
         (const run $ scenario_arg $ n_arg $ u_arg $ d_arg $ c_arg $ k_arg $ m_arg
        $ mu_arg $ duration_arg $ rounds_arg $ seed_arg $ scheme_arg $ workload_arg
-       $ rate_arg $ engine_arg $ interval_arg))
+       $ rate_arg $ interval_arg))
 
 (* ------------------------------------------------------------------ *)
 (* proto                                                               *)

@@ -14,8 +14,6 @@ module Dinic = Vod_graph.Dinic
 module Push_relabel = Vod_graph.Push_relabel
 module Hopcroft_karp = Vod_graph.Hopcroft_karp
 module Bipartite = Vod_graph.Bipartite
-module Shard = Vod_graph.Shard
-module Layout = Vod_graph.Layout
 module Min_cost_flow = Vod_graph.Min_cost_flow
 module Expander = Vod_graph.Expander
 

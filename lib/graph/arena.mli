@@ -29,7 +29,6 @@ type t = {
   right_load : slab;  (** per right: seats taken *)
   (* shared scratch *)
   queue : slab;  (** BFS / FIFO worklist *)
-  warm : slab;  (** validated warm-start seats (Bipartite.Incremental) *)
   (* Hopcroft-Karp (seat-counter capacitated variant) *)
   hk_dist : slab;
   seat_start : slab;

@@ -72,21 +72,16 @@ type outcome = {
   right_load : int array;  (** Slots used per box. *)
 }
 
-val solve : ?arena:Arena.t -> ?algorithm:algorithm -> ?layout:bool -> t -> outcome
-(** Maximum matching; default algorithm {!Dinic_flow}.  All three
-    algorithms run their CSR/arena cores; pass [arena] (one per engine /
-    harness / parallel task — arenas are not domain-safe) to reuse the
-    scratch buffers across calls, otherwise a fresh arena is allocated.
-    The returned [outcome] arrays are freshly allocated and owned by the
-    caller either way.
-
-    [layout] (default false) runs the solver on a {!Layout}
-    component-clustered renumbering of the instance and unpermutes the
-    result, so multi-component instances traverse contiguous memory.
-    For {!Hopcroft_karp_matching} and {!Dinic_flow} the outcome is
-    bit-identical to the identity layout (the permutation is
-    order-preserving per component — DESIGN.md section 12); for
-    {!Push_relabel_flow} only the matching size is guaranteed. *)
+val solve : ?arena:Arena.t -> ?algorithm:algorithm -> t -> outcome
+(** Maximum matching; default algorithm {!Hopcroft_karp_matching}, the
+    engine's one exact path (Lemma 1: any maximum matching serves the
+    round).  {!Dinic_flow} and {!Push_relabel_flow} stay selectable as
+    the vod_check panel's references.  All three algorithms run their
+    CSR/arena cores; pass [arena] (one per engine / harness / parallel
+    task — arenas are not domain-safe) to reuse the scratch buffers
+    across calls, otherwise a fresh arena is allocated.  The returned
+    [outcome] arrays are freshly allocated and owned by the caller
+    either way. *)
 
 val solve_legacy : ?algorithm:algorithm -> t -> outcome
 (** The historical solver paths — an explicit {!Flow_network} for
@@ -149,64 +144,3 @@ val hall_violator : ?arena:Arena.t -> ?matching:outcome -> t -> violator option
     reached set) runs in arena scratch and only the result lists are
     allocated.
     @raise Invalid_argument when [matching] has the wrong length. *)
-
-(** Warm-start incremental solving.
-
-    The engine's per-round instances differ by a small delta (arrivals,
-    departures, playback advance, cache churn — at most a factor [mu]
-    of swarm growth between rounds), so the previous round's matching is
-    an excellent starting point.  {!Incremental.solve} re-seats each
-    request on its previous server when that seat is still valid in the
-    {e current} instance, then repairs only the augmenting paths the
-    delta disturbed; when the delta exceeds [fallback_threshold] (the
-    fraction of requests whose seat did not survive) it falls back to a
-    from-scratch solve.  Either way the result is a true {e maximum}
-    matching — warm starts change the work, never the cardinality. *)
-module Incremental : sig
-  type stats = {
-    rounds : int;  (** Total {!solve} calls. *)
-    full_solves : int;  (** Rounds that fell back to a scratch solve. *)
-    incremental_solves : int;  (** Rounds solved by warm-start repair. *)
-    reseated : int;  (** Warm seats that survived validation, summed. *)
-    repaired : int;  (** Requests matched by repair augmentation, summed. *)
-  }
-
-  type state
-  (** Persistent engine state: chosen backend, fallback threshold and
-      lifetime counters.  The previous matching itself is supplied by
-      the caller per round (as [warm_start]) because request indices are
-      re-numbered between rounds; the caller owns the identity map. *)
-
-  val create : ?algorithm:algorithm -> ?fallback_threshold:float -> unit -> state
-  (** Backend [algorithm] must be {!Hopcroft_karp_matching} (default;
-      pure combinatorial repair, no network construction) or
-      {!Dinic_flow} (pre-pushed residual flow).  [fallback_threshold]
-      (default 0.5) is the dirty-request fraction above which a scratch
-      solve is cheaper than repair.
-      @raise Invalid_argument on {!Push_relabel_flow} or a threshold
-      outside [0, 1]. *)
-
-  val solve :
-    state -> ?arena:Arena.t -> ?warm_start:int array -> ?layout:bool -> t -> outcome
-  (** [warm_start] maps each left to its previous server (or -1); seats
-      invalidated by the delta are dropped before repair.  Omitting it
-      is a cold start (counts as a full solve when [n_left > 0]).
-      [arena] as in {!val:solve}: seat validation and both repair
-      backends run entirely in arena scratch.  [layout] as in
-      {!val:solve}: validated seats are projected into the permuted id
-      space before repair, and the outcome is unpermuted — bit-identical
-      for both backends.
-      @raise Invalid_argument on a length mismatch. *)
-
-  val stats : state -> stats
-end
-
-val solve_incremental :
-  Incremental.state ->
-  ?arena:Arena.t ->
-  ?warm_start:int array ->
-  ?layout:bool ->
-  t ->
-  outcome
-(** Alias for {!Incremental.solve}: maximum matching via warm-start
-    delta repair with scratch fallback. *)

@@ -28,10 +28,6 @@ type t = {
   mutable col_alt : int array;
   mutable row_start_alt : int array;
   mutable frozen : bool; (* true after [rebuild_rows]: pending list is stale *)
-  (* packed [(left lsl 31) lor right] view of the finalized edges,
-     rebuilt lazily whenever the row view changes *)
-  mutable packed : int array;
-  mutable packed_valid : bool;
 }
 
 let next_cap n =
@@ -72,8 +68,6 @@ let create () =
     col_alt = [||];
     row_start_alt = [||];
     frozen = false;
-    packed = [||];
-    packed_valid = false;
   }
 
 let reset t ~n_left ~n_right =
@@ -87,8 +81,7 @@ let reset t ~n_left ~n_right =
   t.row_start <- ensure t.row_start (n_left + 1);
   Array.fill t.row_start 0 (n_left + 1) 0;
   t.dirty <- false;
-  t.frozen <- false;
-  t.packed_valid <- false
+  t.frozen <- false
 
 let set_right_cap t r c =
   if r < 0 || r >= t.n_right then invalid_arg "Csr.set_right_cap: right out of range";
@@ -179,8 +172,7 @@ let finalize t =
     done;
     row_start.(nl) <- !w;
     t.n_edges <- !w;
-    t.dirty <- false;
-    t.packed_valid <- false
+    t.dirty <- false
   end
 
 (* Delta rebuild: produce the next round's finalized row view from the
@@ -259,8 +251,7 @@ let rebuild_rows t ~n_left ~src_of ~fill =
   t.n_edges <- !w;
   t.n_pending <- 0;
   t.dirty <- false;
-  t.frozen <- true;
-  t.packed_valid <- false
+  t.frozen <- true
 
 let n_left t = t.n_left
 let n_right t = t.n_right
@@ -276,26 +267,6 @@ let row_start t =
 let col t =
   finalize t;
   t.col
-
-let packed_shift = 31
-let packed_mask = (1 lsl packed_shift) - 1
-
-let packed_edges t =
-  finalize t;
-  if not t.packed_valid then begin
-    if t.n_left lor t.n_right >= 1 lsl packed_shift then
-      invalid_arg "Csr.packed_edges: instance too large to pack";
-    let packed = ensure t.packed t.n_edges in
-    t.packed <- packed;
-    for l = 0 to t.n_left - 1 do
-      let hi = l lsl packed_shift in
-      for i = t.row_start.(l) to t.row_start.(l + 1) - 1 do
-        packed.(i) <- hi lor t.col.(i)
-      done
-    done;
-    t.packed_valid <- true
-  end;
-  t.packed
 
 let right_cap_array t = t.right_cap
 
@@ -339,51 +310,6 @@ let load_adjacency t ?right_cap ~n_right adj =
       Array.iteri (fun r c -> set_right_cap t r c) caps);
   Array.iteri (fun l row -> Array.iter (fun r -> add_edge t ~left:l ~right:r) row) adj;
   finalize t
-
-(* The permuted instance is emitted directly in finalized row-major
-   form: row [l'] of [dst] is row [left_old.(l')] of [src] with every
-   column mapped through [right_new].  No counting sort is needed
-   because the caller guarantees [right_new] is monotone on each row's
-   neighbour set (true for any renumbering that is order-preserving
-   within connected components), so sorted source rows stay sorted —
-   this is checked and rejected otherwise.  [dst] comes out frozen:
-   its pending-edge list is not maintained. *)
-let load_permuted dst src ~left_old ~right_old ~right_new =
-  finalize src;
-  let nl = src.n_left and nr = src.n_right in
-  if Array.length left_old < nl || Array.length right_old < nr
-     || Array.length right_new < nr
-  then invalid_arg "Csr.load_permuted: permutation table too short";
-  let row_start = ensure dst.row_start (nl + 1) in
-  let col = ensure dst.col (max src.n_edges 1) in
-  let right_cap = ensure dst.right_cap nr in
-  dst.row_start <- row_start;
-  dst.col <- col;
-  dst.right_cap <- right_cap;
-  dst.n_left <- nl;
-  dst.n_right <- nr;
-  dst.n_pending <- 0;
-  dst.dirty <- false;
-  dst.frozen <- true;
-  dst.packed_valid <- false;
-  for r' = 0 to nr - 1 do
-    right_cap.(r') <- src.right_cap.(right_old.(r'))
-  done;
-  let w = ref 0 in
-  row_start.(0) <- 0;
-  for l' = 0 to nl - 1 do
-    let l = left_old.(l') in
-    let row_begin = !w in
-    for i = src.row_start.(l) to src.row_start.(l + 1) - 1 do
-      let c = right_new.(src.col.(i)) in
-      if !w > row_begin && col.(!w - 1) >= c then
-        invalid_arg "Csr.load_permuted: renumbering does not preserve row order";
-      col.(!w) <- c;
-      incr w
-    done;
-    row_start.(l' + 1) <- !w
-  done;
-  dst.n_edges <- !w
 
 let of_adjacency ?right_cap ~n_right adj =
   let t = create () in

@@ -82,17 +82,6 @@ val col : t -> int array
 val right_cap_array : t -> int array
 (** Borrowed; entries [0 .. n_right - 1] are meaningful. *)
 
-val packed_shift : int
-val packed_mask : int
-
-val packed_edges : t -> int array
-(** Borrowed packed edge list: entry [i] is
-    [(left lsl 31) lor col.(i)], aligned with [col] (finalizes first).
-    One flat sweep replaces the nested row loop in whole-edge passes
-    (union-find labelling, layout analysis), halving the loads.
-    Rebuilt lazily whenever the row view changes.
-    @raise Invalid_argument if a dimension exceeds [2^31 - 1]. *)
-
 val right_cap : t -> int -> int
 val degree : t -> int -> int
 (** Distinct-neighbour degree of a left vertex (finalizes first). *)
@@ -105,22 +94,6 @@ val iter_row : t -> int -> (int -> unit) -> unit
 
 val total_cap : t -> int
 (** Sum of right capacities. *)
-
-val load_permuted :
-  t -> t -> left_old:int array -> right_old:int array -> right_new:int array -> unit
-(** [load_permuted dst src ~left_old ~right_old ~right_new] rebuilds
-    [dst] as [src] with vertices renumbered: new left [l'] is old left
-    [left_old.(l')], new right [r'] is old right [right_old.(r')], and
-    [right_new] is the inverse of [right_old].  Emitted directly in
-    finalized form (no counting sort): requires the renumbering to be
-    order-preserving on each row's neighbour set — true for any
-    per-component order-preserving permutation, since a row's
-    neighbours all share its component — so source rows map to sorted
-    rows.  [dst] comes out frozen ([add_edge] raises until [reset]).
-    O(edges + n_left + n_right), allocation-free at the high-water
-    mark.
-    @raise Invalid_argument if a table is too short or the renumbering
-    breaks row order. *)
 
 val of_adjacency : ?right_cap:int array -> n_right:int -> int array array -> t
 (** Fresh instance from adjacency rows (duplicates allowed); rights all

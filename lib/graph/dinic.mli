@@ -9,17 +9,13 @@ val max_flow : ?limit:int -> Flow_network.t -> src:int -> sink:int -> int
     useful for early-exit feasibility checks.
     @raise Invalid_argument if [src = sink] or either is out of range. *)
 
-val solve_csr : ?warm_start:int array -> arena:Arena.t -> Csr.t -> int
+val solve_csr : arena:Arena.t -> Csr.t -> int
 (** Dinic specialised to the implicit bipartite matching network
     (src -> lefts cap 1 -> rights via the CSR edges cap 1 -> sink with
     cap [right_cap]); no [Flow_network] is materialised.  Returns the
     flow value (= matching size); the assignment and per-right loads are
     left in [Arena.assignment] / [Arena.right_load] (borrowed, valid
     until the arena's next solve).  All scratch lives in the arena, so
-    steady-state calls allocate nothing.  [warm_start] (length at least
-    [n_left], entries a right vertex or -1; extra cells ignored)
-    pre-pushes each left's unit onto its previous right when still
-    adjacent and under capacity — this replaces the flow pre-push of
-    the old warm Dinic path.
-    @raise Invalid_argument when [warm_start] is shorter than
-    [n_left]. *)
+    steady-state calls allocate nothing.
+    @raise Invalid_argument when the instance is too large to pack
+    ([n_left] or the edge count at least [2^31]). *)

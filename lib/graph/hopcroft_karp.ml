@@ -26,16 +26,9 @@ let obs_path_len = Vod_obs.Registry.histogram Vod_obs.Registry.default "hk.path_
    phase augments only along shortest paths.  [dist] is versioned by a
    per-phase [base] offset (values below [base] mean unvisited), which
    replaces the O(n_left) distance fill each phase with one addition.
-
-   Phases restricted to one connected component behave exactly as a
-   solo run on that component: BFS layers, the free-seat probe and the
-   DFS never cross component boundaries, and a component whose shortest
-   free layer exceeds the global stop layer merely dead-marks a few
-   dist entries that the next phase's [base] bump revives.  This is the
-   component-local determinism contract [Shard] and [Layout] rely on
-   (DESIGN.md section 12).  All scratch lives in the arena:
-   steady-state calls allocate nothing. *)
-let solve_csr ?warm_start ~arena csr =
+   All scratch lives in the arena: steady-state calls allocate
+   nothing. *)
+let solve_csr ~arena csr =
   let nl = Csr.n_left csr and nr = Csr.n_right csr in
   let row_start = Csr.row_start csr and col = Csr.col csr in
   let cap = Csr.right_cap_array csr in
@@ -71,34 +64,6 @@ let solve_csr ?warm_start ~arena csr =
     if f = cap.(r) then Bitset.unsafe_remove free_right r;
     match_left.(l) <- r
   in
-  (* Warm start: re-seat each request on its previous box when that box
-     is still adjacent and has a free seat.  The seats form a valid
-     partial matching, so the phases below only have to augment from the
-     requests the round-to-round delta actually disturbed (Berge:
-     augmenting to exhaustion from any matching reaches a maximum). *)
-  (match warm_start with
-  | None -> ()
-  | Some ws ->
-      (* at least [nl]: arena slabs are capacity-sized, extra cells ignored *)
-      if Array.length ws < nl then
-        invalid_arg "Hopcroft_karp.solve_csr: warm_start length";
-      for l = 0 to nl - 1 do
-        let r = ws.(l) in
-        if r >= 0 && r < nr && fill.(r) < cap.(r) then begin
-          let adjacent = ref false in
-          let i = ref row_start.(l) in
-          let stop = row_start.(l + 1) in
-          while (not !adjacent) && !i < stop do
-            if col.(!i) = r then adjacent := true;
-            incr i
-          done;
-          if !adjacent then begin
-            take_seat l r;
-            Bitset.unsafe_remove free_left l;
-            incr size
-          end
-        end
-      done);
   (* Greedy first-fit pass: each free request takes the first adjacent
      free seat.  Identical to what the first phase would do (depth-0
      roots take the first free seat and never displace, because every
@@ -236,14 +201,10 @@ let solve_csr ?warm_start ~arena csr =
    Hopcroft-Karp.  Slot ids for right [r] are [slot_start.(r) ..
    slot_start.(r+1) - 1].  Kept as an independent implementation so the
    vod_check oracle panel can diff the CSR core against it. *)
-let solve_slots ?warm_start ~n_left ~n_right ~adj ~right_cap () =
+let solve_slots ~n_left ~n_right ~adj ~right_cap () =
   if Array.length adj <> n_left then invalid_arg "Hopcroft_karp.solve: adj length";
   if Array.length right_cap <> n_right then
     invalid_arg "Hopcroft_karp.solve: right_cap length";
-  (match warm_start with
-  | Some ws when Array.length ws <> n_left ->
-      invalid_arg "Hopcroft_karp.solve: warm_start length"
-  | _ -> ());
   Array.iter
     (fun c -> if c < 0 then invalid_arg "Hopcroft_karp.solve: negative cap")
     right_cap;
@@ -265,24 +226,6 @@ let solve_slots ?warm_start ~n_left ~n_right ~adj ~right_cap () =
   let match_left = Array.make n_left (-1) (* left -> slot *) in
   let match_slot = Array.make (max n_slots 1) (-1) (* slot -> left *) in
   let size = ref 0 in
-  (match warm_start with
-  | None -> ()
-  | Some ws ->
-      let fill = Array.make (max n_right 1) 0 in
-      Array.iteri
-        (fun l r ->
-          if
-            r >= 0 && r < n_right
-            && fill.(r) < right_cap.(r)
-            && Array.mem r adj.(l)
-          then begin
-            let s = slot_start.(r) + fill.(r) in
-            fill.(r) <- fill.(r) + 1;
-            match_left.(l) <- s;
-            match_slot.(s) <- l;
-            incr size
-          end)
-        ws);
   let dist = Array.make n_left infinity_dist in
   let queue = Queue.create () in
   let iter_slots l f =
@@ -361,14 +304,10 @@ let solve_slots ?warm_start ~n_left ~n_right ~adj ~right_cap () =
 
 (* Thin shim over the CSR core: same signature and validation as the
    historical entry point, paying one instance + arena allocation. *)
-let solve ?warm_start ~n_left ~n_right ~adj ~right_cap () =
+let solve ~n_left ~n_right ~adj ~right_cap () =
   if Array.length adj <> n_left then invalid_arg "Hopcroft_karp.solve: adj length";
   if Array.length right_cap <> n_right then
     invalid_arg "Hopcroft_karp.solve: right_cap length";
-  (match warm_start with
-  | Some ws when Array.length ws <> n_left ->
-      invalid_arg "Hopcroft_karp.solve: warm_start length"
-  | _ -> ());
   Array.iter
     (fun c -> if c < 0 then invalid_arg "Hopcroft_karp.solve: negative cap")
     right_cap;
@@ -378,7 +317,7 @@ let solve ?warm_start ~n_left ~n_right ~adj ~right_cap () =
     adj;
   let csr = Csr.of_adjacency ~right_cap ~n_right adj in
   let arena = Arena.create () in
-  let size = solve_csr ?warm_start ~arena csr in
+  let size = solve_csr ~arena csr in
   {
     size;
     assignment = Array.sub (Arena.assignment arena) 0 n_left;

@@ -3,7 +3,9 @@
     Left vertices each need one unit (a stripe request); right vertices
     accept up to [right_cap.(j)] units (a box's stripe-upload slots).
     This is a direct combinatorial solver, independent of the flow-based
-    path, used for cross-validation and benchmarking (experiment E9).
+    path: [solve_csr] is the engine's matching core ({!Bipartite.solve}'s
+    default), and the flow solvers are its cross-validation references
+    (experiment E9).
 
     Two implementations coexist: [solve_csr], the flat zero-allocation
     core over [Csr.t] + [Arena.t] (per-right seat counters), and
@@ -17,35 +19,25 @@ type result = {
   right_load : int array;  (** Units used per right vertex. *)
 }
 
-val solve_csr : ?warm_start:int array -> arena:Arena.t -> Csr.t -> int
+val solve_csr : arena:Arena.t -> Csr.t -> int
 (** Maximum matching over a finalized CSR instance.  Returns the
     matching size; the assignment (left -> right or -1) and per-right
     loads are left in [Arena.assignment] / [Arena.right_load] (borrowed,
     valid until the arena's next solve).  All scratch lives in the
-    arena, so steady-state calls allocate nothing.  [warm_start] as in
-    [solve], except its length may exceed [n_left] (arena slabs are
-    capacity-sized); only the first [n_left] entries are read.
-    @raise Invalid_argument when [warm_start] is shorter than
-    [n_left]. *)
+    arena, so steady-state calls allocate nothing. *)
 
 val solve :
-  ?warm_start:int array ->
   n_left:int ->
   n_right:int ->
   adj:int array array ->
   right_cap:int array ->
   unit ->
   result
-(** [warm_start] (length [n_left], entries a right vertex or -1) seats
-    each left on its previous right when still adjacent and not over
-    capacity, then runs the usual phases over the remaining free lefts
-    only — the warm-started incremental path.  The result is always a
-    {e maximum} matching regardless of the warm start.
+(** {!solve_csr} over adjacency rows, with fresh result arrays.
     @raise Invalid_argument on negative capacities, adjacency out of
-    range, or mismatched array lengths (including [warm_start]). *)
+    range, or mismatched array lengths. *)
 
 val solve_slots :
-  ?warm_start:int array ->
   n_left:int ->
   n_right:int ->
   adj:int array array ->

@@ -45,8 +45,6 @@ type scheduler =
   | Prefer_local
   | Balance_load
 
-type matching_engine = Scratch | Incremental | Sharded
-
 type round_report = {
   time : int;
   new_demands : int;
@@ -93,17 +91,11 @@ type t = {
   mutable last_violator : Vod_graph.Bipartite.violator option;
   mutable last_instance : Vod_graph.Bipartite.t option;
   inst : Vod_graph.Bipartite.t;
-      (* the one matching instance, reset and refilled every round *)
+      (* the one matching instance, rebuilt in place every round *)
   arena : Vod_graph.Arena.t; (* solver scratch, allocated once per engine *)
   right_cap_scratch : int array; (* per-round online-masked capacities *)
-  inc_state : Vod_graph.Bipartite.Incremental.state option;
-      (* warm-start matcher, Some iff matching = Incremental *)
-  shard : Vod_graph.Shard.t option; (* Some iff matching = Sharded *)
-  jobs : int; (* worker count for the sharded solver *)
-  layout : bool; (* component-clustered vertex renumbering before solves *)
-  (* delta-CSR build tracking (Sharded only): which rows of the next
-     round's instance can be blitted from the current one *)
-  track_delta : bool;
+  (* delta-CSR build tracking: which rows of the next round's instance
+     can be blitted from the current one *)
   mutable prev_requests : request array; (* rows of the last built instance *)
   touched : (int, unit) Hashtbl.t; (* stripes dirtied since the last build *)
   mutable all_dirty : bool; (* global invalidation (online/alloc change) *)
@@ -133,10 +125,8 @@ let compute_capacity ~params ~fleet ~compensation ~factor b =
        (Float.max 0.0 ((fleet.(b).Box.upload *. factor) -. reserved)))
 
 let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
-    ?(preloading = true) ?(scheduler = Arbitrary) ?(matching = Scratch) ?(jobs = 1)
-    ?max_shards ?(layout = false) ?topology () =
+    ?(preloading = true) ?(scheduler = Arbitrary) ?topology () =
   let n = params.Params.n in
-  if jobs < 1 then invalid_arg "Engine.create: jobs < 1";
   (match (scheduler, topology) with
   | Prefer_local, None ->
       invalid_arg "Engine.create: Prefer_local requires a topology"
@@ -182,17 +172,6 @@ let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
     inst = Vod_graph.Bipartite.create ~n_left:0 ~n_right:n ~right_cap:(Array.make n 0);
     arena = Vod_graph.Arena.create ();
     right_cap_scratch = Array.make n 0;
-    inc_state =
-      (match matching with
-      | Scratch | Sharded -> None
-      | Incremental -> Some (Vod_graph.Bipartite.Incremental.create ()));
-    shard =
-      (match matching with
-      | Scratch | Incremental -> None
-      | Sharded -> Some (Vod_graph.Shard.create ?max_shards ()));
-    jobs;
-    layout;
-    track_delta = (matching = Sharded);
     prev_requests = [||];
     touched = Hashtbl.create 64;
     all_dirty = true;
@@ -235,13 +214,13 @@ let idle_boxes t =
 
 let window_start t = t.now - t.params.Params.duration
 
-(* Delta-build bookkeeping (Sharded only).  A cancelled or
-   offline-dropped in-flight request stays in [recent] with its
-   progress frozen; the relative-progress relations against the rows
-   that keep advancing shift every round it remains in the window, so
-   rows of its stripe cannot be blitted until the entry expires. *)
+(* Delta-build bookkeeping.  A cancelled or offline-dropped in-flight
+   request stays in [recent] with its progress frozen; the
+   relative-progress relations against the rows that keep advancing
+   shift every round it remains in the window, so rows of its stripe
+   cannot be blitted until the entry expires. *)
 let freeze_stripe t req =
-  if t.track_delta && req.kind <> Repair_transfer then begin
+  if req.kind <> Repair_transfer then begin
     let until = req.issued_at + t.params.Params.duration in
     let cur =
       match Hashtbl.find_opt t.frozen_until req.stripe with
@@ -282,7 +261,7 @@ let set_alloc t alloc =
     || Catalog.videos cat <> Catalog.videos cat0
   then invalid_arg "Engine.set_alloc: catalog shape changed";
   t.alloc <- alloc;
-  if t.track_delta then t.all_dirty <- true
+  t.all_dirty <- true
 
 let set_upload_factor t ~box ~factor =
   if box < 0 || box >= t.params.Params.n then
@@ -492,7 +471,7 @@ let prune_recent t =
         Vec.clear entries;
         List.iter (Vec.push entries) kept;
         (* a cache entry left the window: the stripe's rows lost edges *)
-        if t.track_delta then Hashtbl.replace t.touched stripe ()
+        Hashtbl.replace t.touched stripe ()
       end)
     t.recent;
   (* occasionally rebuild swarm vectors to stay compact *)
@@ -556,9 +535,6 @@ let video_request_stats t =
 let last_violator t = t.last_violator
 let last_instance t = t.last_instance
 
-let matching_stats t =
-  Option.map Vod_graph.Bipartite.Incremental.stats t.inc_state
-
 let startup_delays t = Vec.to_array t.startups
 let startup_count t = Vec.length t.startups
 let startup_delay t i = Vec.get t.startups i
@@ -594,7 +570,7 @@ let cancel t box =
 let set_online t box online =
   if box < 0 || box >= t.params.Params.n then
     invalid_arg "Engine.set_online: box out of range";
-  if t.track_delta && t.online.(box) <> online then t.all_dirty <- true;
+  if t.online.(box) <> online then t.all_dirty <- true;
   if t.online.(box) && not online then begin
     (* the viewer disappears: drop its in-flight and scheduled requests
        (its static replicas become unavailable through the matching
@@ -703,8 +679,7 @@ let step t =
           emit_row req (fun b -> Vod_graph.Bipartite.add_edge instance ~left:l ~right:b))
         requests
     in
-    if not t.track_delta then scratch_build ()
-    else if t.all_dirty then scratch_build ()
+    if t.all_dirty then scratch_build ()
     else begin
       (* map each surviving row to its row in the previous instance.
          Activation appends and every filter preserves order, so the
@@ -759,53 +734,19 @@ let step t =
           ~fill:(fun l emit -> emit_row requests.(l) emit)
       end
     end;
-    if t.track_delta then begin
-      t.prev_requests <- requests;
-      Hashtbl.reset t.touched;
-      t.all_dirty <- false
-    end;
+    t.prev_requests <- requests;
+    Hashtbl.reset t.touched;
+    t.all_dirty <- false;
     t.last_instance <- Some instance;
     (requests, instance)
   in
   let n_left = Array.length requests in
   let n = t.params.Params.n in
   Vod_obs.Registry.set obs_active n_left;
-  (* Warm start for the incremental matcher: each surviving request
-     still carries its previous server, so [last_server] is exactly the
-     previous matching projected through the round's delta (arrivals
-     enter at -1, departures simply vanish, capacity shrink is handled
-     by seat validation). *)
-  let incremental_warm () =
-    Array.map (fun req -> req.last_server) requests
-  in
-  (* Component-sharded parallel solve: the previous round's servers
-     carry over as warm-start hints exactly like the incremental path;
-     the merged result is bit-identical for any jobs or shard count
-     (see Shard's determinism contract). *)
-  let solve_sharded sh =
-    let size =
-      Vod_graph.Shard.solve ~jobs:t.jobs ~warm_start:(incremental_warm ())
-        ~layout:t.layout sh
-        (Vod_graph.Bipartite.csr instance)
-    in
-    {
-      Vod_graph.Bipartite.matched = size;
-      assignment = Array.sub (Vod_graph.Shard.assignment sh) 0 n_left;
-      right_load = Array.sub (Vod_graph.Shard.right_load sh) 0 n;
-    }
-  in
   let outcome =
     Vod_obs.Span.with_ ~name:"matching" @@ fun () ->
     match t.scheduler with
-    | Arbitrary -> (
-        match t.shard with
-        | Some sh -> solve_sharded sh
-        | None -> (
-            match t.inc_state with
-            | Some st ->
-                Vod_graph.Bipartite.solve_incremental st ~arena:t.arena
-                  ~warm_start:(incremental_warm ()) ~layout:t.layout instance
-            | None -> Vod_graph.Bipartite.solve ~arena:t.arena ~layout:t.layout instance))
+    | Arbitrary -> Vod_graph.Bipartite.solve ~arena:t.arena instance
     | Prefer_cache ->
         (* serving from a static replica costs 1, from a cache 0: among
            maximum matchings, minimise the load on the allocation *)
@@ -815,29 +756,11 @@ let step t =
           else 0
         in
         Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost
-    | Sticky -> (
-        match t.shard with
-        | Some sh ->
-            (* the warm start preserves every still-valid seat, the same
-               churn-minimising approximation the incremental path uses *)
-            solve_sharded sh
-        | None -> (
-            match t.inc_state with
-            | Some st ->
-            (* warm-start repair preserves every still-valid seat and
-               rewires only along repair augmenting paths — the
-               incremental analogue of the min-churn objective, at a
-               fraction of the min-cost-flow price *)
-                Vod_graph.Bipartite.solve_incremental st ~arena:t.arena
-                  ~warm_start:(incremental_warm ()) ~layout:t.layout instance
-            | None ->
-                (* keeping last round's connection costs 0, rewiring
-                   costs 1: among maximum matchings, minimise connection
-                   churn *)
-                let cost ~left ~right =
-                  if requests.(left).last_server = right then 0 else 1
-                in
-                Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost))
+    | Sticky ->
+        (* keeping last round's connection costs 0, rewiring costs 1:
+           among maximum matchings, minimise connection churn *)
+        let cost ~left ~right = if requests.(left).last_server = right then 0 else 1 in
+        Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost
     | Greedy_proposals rounds ->
         (* no global view: persistent connections carry over, then boxes
            negotiate locally for a few rounds for the rest *)
@@ -884,7 +807,7 @@ let step t =
             Vod_obs.Registry.incr obs_link_failures;
             (* the stall desynchronises this request's progress from its
                stripe's cache window: those rows must be refilled *)
-            if t.track_delta then Hashtbl.replace t.touched req.stripe ()
+            Hashtbl.replace t.touched req.stripe ()
           end
           else begin
             if is_repair then incr repair_served else incr user_served;
@@ -914,7 +837,7 @@ let step t =
               Vec.push t.completed_repairs (req.stripe, req.owner)
           end
         end
-        else if t.track_delta then
+        else
           (* unmatched: the stall shifts this request's progress
              relative to every peer in its stripe's cache window *)
           Hashtbl.replace t.touched req.stripe ())

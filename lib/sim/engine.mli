@@ -61,7 +61,9 @@ type failure_policy =
   | Continue  (** Record the failure; unmatched requests stall. *)
 
 type scheduler =
-  | Arbitrary  (** Any maximum matching (plain max flow). *)
+  | Arbitrary
+      (** Any maximum matching: capacitated CSR Hopcroft–Karp
+          ({!Vod_graph.Bipartite.solve}'s default). *)
   | Prefer_cache
       (** Among maximum matchings, minimise the number of connections
           served from static replicas (min-cost flow with cost 1 on
@@ -85,38 +87,6 @@ type scheduler =
   | Balance_load
       (** Among maximum matchings, minimise the total historical load of
           the chosen servers — a long-run forwarding-load balancer. *)
-
-(** How the per-round connection matching is computed. *)
-type matching_engine =
-  | Scratch  (** Re-solve the max-flow from scratch every round. *)
-  | Incremental
-      (** Warm-start the solver with the previous round's matching
-          ({!Vod_graph.Bipartite.Incremental}): each surviving request
-          is re-seated on its previous server when still valid, and only
-          the augmenting paths disturbed by the round's delta are
-          repaired, falling back to a scratch solve on large deltas.
-          Served counts are identical to [Scratch] (both are maximum
-          matchings); only the work per round changes.  Honoured by the
-          [Arbitrary] and [Sticky] schedulers — for [Sticky] the warm
-          start itself preserves still-valid connections, approximating
-          the min-churn objective without a min-cost flow.  The other
-          schedulers optimise global objectives that need a fresh
-          min-cost solve and ignore this knob. *)
-  | Sharded
-      (** Component-sharded parallel matching ({!Vod_graph.Shard}): the
-          round's instance is partitioned along its connected components
-          (independent swarms never share an augmenting path), shards
-          are solved concurrently over [jobs] workers with the previous
-          round's servers as warm-start hints, and the instance itself
-          is rebuilt {e incrementally} — rows untouched by churn are
-          blitted from the previous round's CSR view, so per-round build
-          cost scales with the delta, not with [n].  Output is
-          bit-identical for any [jobs] or shard count, and served counts
-          equal [Scratch]'s (all maximum matchings).  Honoured by
-          [Arbitrary] and [Sticky] (the warm start preserves still-valid
-          connections, as [Incremental] does); other schedulers need a
-          global min-cost solve and ignore this knob, though they still
-          benefit from the delta builds. *)
 
 type round_report = {
   time : int;
@@ -171,10 +141,6 @@ val create :
   ?policy:failure_policy ->
   ?preloading:bool ->
   ?scheduler:scheduler ->
-  ?matching:matching_engine ->
-  ?jobs:int ->
-  ?max_shards:int ->
-  ?layout:bool ->
   ?topology:Topology.t ->
   unit ->
   t
@@ -183,20 +149,17 @@ val create :
     every box request all [c] stripes at once — the naive strategy the
     paper's Lemma 2 analysis rules out, kept as an ablation.
     A [topology] enables cross-group traffic accounting and the
-    [Prefer_local] scheduler.  [matching] (default [Scratch]) selects
-    the per-round matching engine; see {!matching_engine}.  [jobs]
-    (default 1) is the worker count for the [Sharded] engine's parallel
-    shard solves — it never affects results, only wall-clock time —
-    and [max_shards] (default 64) its shard-count bound, a property of
-    the run, not of the machine, forwarded to {!Vod_graph.Shard.create}.
-    [layout] (default false) runs the exact solvers on a
-    component-clustered vertex renumbering ({!Vod_graph.Layout}) —
-    results are bit-identical, only memory locality changes; it applies
-    to the [Scratch], [Incremental] and [Sharded] engines' exact paths
-    (min-cost and greedy schedulers are unaffected).
+    [Prefer_local] scheduler.
+
+    Each round's instance is rebuilt {e incrementally}: rows untouched
+    by churn are blitted from the previous round's CSR view
+    ({!Vod_graph.Bipartite.delta_rebuild}) and only dirty rows are
+    re-emitted, so build cost follows the delta, not [n].  A global
+    invalidation ({!set_alloc}, an online flip) or a round where more
+    than half the rows are dirty falls back to a scratch build; both
+    builds produce the same instance.
     @raise Invalid_argument when fleet size, allocation, topology and
-    params disagree, [Prefer_local] is chosen without a topology, or
-    [jobs < 1]. *)
+    params disagree, or [Prefer_local] is chosen without a topology. *)
 
 val params : t -> Params.t
 val fleet : t -> Box.t array
@@ -265,7 +228,8 @@ val set_alloc : t -> Vod_model.Allocation.t -> unit
 (** Replace the static allocation — the maintenance controller installs
     repaired replicas this way.  The catalog shape (videos, stripes per
     video) and box count must match; stripe ids stay meaningful across
-    the swap, so in-flight requests are unaffected.
+    the swap, so in-flight requests are unaffected.  The next {!step}
+    rebuilds its instance from scratch.
     @raise Invalid_argument on a shape mismatch. *)
 
 val set_upload_factor : t -> box:int -> factor:float -> unit
@@ -385,12 +349,6 @@ val step : t -> round_report
 
 val last_violator : t -> Vod_graph.Bipartite.violator option
 (** Hall certificate of the most recent failed round, if any. *)
-
-val matching_stats : t -> Vod_graph.Bipartite.Incremental.stats option
-(** Lifetime counters of the warm-start matcher ([None] under
-    [Scratch]): rounds, full vs incremental solves, seats reseated and
-    requests repaired — the observability hook the bench harness and
-    [vodctl simulate --engine incremental] report. *)
 
 val last_instance : t -> Vod_graph.Bipartite.t option
 (** The bipartite connection-matching instance built by the most recent

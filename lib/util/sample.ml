@@ -92,6 +92,26 @@ let poisson_small g lambda =
   in
   loop 0 1.0
 
+(* log k! in O(1), as Hoermann's PTRS computes it: exact for k < 10,
+   Stirling's series above (truncation error below 1e-10 at k = 10). *)
+let log_fact_table =
+  Array.init 10 (fun k ->
+      let acc = ref 0.0 in
+      for i = 2 to k do
+        acc := !acc +. log (float_of_int i)
+      done;
+      !acc)
+
+let half_log_two_pi = 0.5 *. log (2.0 *. Float.pi)
+
+let log_fact k =
+  if k < 10 then log_fact_table.(k)
+  else
+    let x = float_of_int k in
+    let x2 = x *. x in
+    half_log_two_pi +. ((x +. 0.5) *. log x) -. x
+    +. ((1.0 /. 12.0) -. (((1.0 /. 360.0) -. (1.0 /. (1260.0 *. x2))) /. x2)) /. x
+
 let poisson_large g lambda =
   (* PTRS transformed-rejection (Hoermann 1993). *)
   let b = 0.931 +. (2.53 *. sqrt lambda) in
@@ -99,7 +119,6 @@ let poisson_large g lambda =
   let inv_alpha = 1.1239 +. (1.1328 /. (b -. 3.4)) in
   let v_r = 0.9277 -. (3.6224 /. (b -. 2.0)) in
   let log_lambda = log lambda in
-  let rec log_fact k acc = if k <= 1 then acc else log_fact (k - 1) (acc +. log (float_of_int k)) in
   let rec draw () =
     let u = Prng.float g 1.0 -. 0.5 in
     let v = Prng.float g 1.0 in
@@ -109,7 +128,7 @@ let poisson_large g lambda =
     else if k < 0 || (us < 0.013 && v > us) then draw ()
     else
       let lhs = log (v *. inv_alpha /. ((a /. (us *. us)) +. b)) in
-      let rhs = (-.lambda) +. (float_of_int k *. log_lambda) -. log_fact k 0.0 in
+      let rhs = (-.lambda) +. (float_of_int k *. log_lambda) -. log_fact k in
       if lhs <= rhs then k else draw ()
   in
   draw ()

@@ -40,7 +40,8 @@ end
 
 val poisson : Prng.t -> float -> int
 (** [poisson g lambda] draws from Poisson(lambda); inversion for small
-    lambda, normal-tail safe rejection (PTRS) for large. *)
+    lambda, normal-tail safe rejection (PTRS) for large.  Each draw
+    costs O(1) expected time whatever the size of [lambda]. *)
 
 val exponential : Prng.t -> float -> float
 (** [exponential g rate] draws from Exp(rate). *)

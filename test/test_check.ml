@@ -176,128 +176,6 @@ let test_theorem1_grid () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Warm-start incremental matching (scratch equivalence)               *)
-(* ------------------------------------------------------------------ *)
-
-(* One churn step: a handful of random edge insertions and deletions on
-   the adjacency rows.  Instance.make re-normalises, so the result is a
-   fresh well-formed instance sharing no mutable state with its
-   predecessor. *)
-let churn_step g (inst : Instance.t) =
-  let adj = Array.map Array.copy inst.Instance.adj in
-  let n_left = inst.Instance.n_left and n_right = inst.Instance.n_right in
-  if n_left > 0 && n_right > 0 then begin
-    let touches = 1 + Prng.int g (max 1 (n_left / 4)) in
-    for _ = 1 to touches do
-      let l = Prng.int g n_left in
-      let row = adj.(l) in
-      if Array.length row > 0 && Prng.bool g then begin
-        (* delete a random edge *)
-        let k = Prng.int g (Array.length row) in
-        adj.(l) <-
-          Array.of_list (List.filteri (fun i _ -> i <> k) (Array.to_list row))
-      end
-      else
-        (* insert a random edge (duplicates are normalised away) *)
-        adj.(l) <- Array.append row [| Prng.int g n_right |]
-    done
-  end;
-  Instance.make ~n_left ~n_right ~right_cap:(Array.copy inst.Instance.right_cap) ~adj
-
-(* Drive one persistent incremental state through [steps] churned
-   instances, warm-starting each solve from the previous assignment, and
-   fail on the first step where it loses cardinality against a scratch
-   solve or produces a matching the independent checker rejects. *)
-let incremental_tracks_scratch ~seed ~steps =
-  let g = Prng.create ~seed:(seed lxor 0x5eed) () in
-  let st = B.Incremental.create () in
-  let inst = ref (instance_of_seed seed) in
-  let warm = ref None in
-  let verdict = ref (Ok ()) in
-  let step = ref 0 in
-  while !verdict = Ok () && !step < steps do
-    incr step;
-    let bip = Instance.to_bipartite !inst in
-    let scratch = B.solve bip in
-    let o = B.solve_incremental st ?warm_start:!warm bip in
-    if o.B.matched <> scratch.B.matched then
-      verdict :=
-        Error
-          (Printf.sprintf "step %d: incremental matched %d, scratch %d" !step
-             o.B.matched scratch.B.matched)
-    else begin
-      match Certificate.check_matching !inst o with
-      | Error m ->
-          verdict := Error (Printf.sprintf "step %d: outcome rejected: %s" !step m)
-      | Ok () ->
-          warm := Some o.B.assignment;
-          inst := churn_step g !inst
-    end
-  done;
-  !verdict
-
-(* Pinned-seed anchors for the churn property: stable named repros
-   instead of roving fuzz failures if a solver regresses. *)
-let test_incremental_pinned_seeds () =
-  List.iter
-    (fun seed ->
-      match incremental_tracks_scratch ~seed ~steps:12 with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "pinned seed %d: %s" seed m)
-    [ 3; 17; 4096; 65537; 86028157 ]
-
-module E = Vod_sim.Engine
-
-(* Engine-level lockstep: the same scenario script through a scratch and
-   an incremental engine under the same scheduler must report identical
-   per-round served/deficit counts up to the first deficit round
-   (inclusive) — after it the engines may stall different requests, the
-   same divergence convention as Oracle.scheduler_agreement. *)
-let test_engine_lockstep_matching () =
-  let total_incremental = ref 0 in
-  List.iter
-    (fun seed ->
-      let sc = CGen.scenario (Prng.create ~seed ()) ~rounds:20 () in
-      let mk matching =
-        E.create ~params:sc.CGen.params ~fleet:sc.CGen.fleet ~alloc:sc.CGen.alloc
-          ~policy:E.Continue ~scheduler:E.Arbitrary ~matching ()
-      in
-      let scratch = mk E.Scratch and incremental = mk E.Incremental in
-      checkb "scratch engine carries no matcher stats" true
-        (E.matching_stats scratch = None);
-      let diverged = ref false in
-      for _round = 1 to sc.CGen.rounds do
-        let feed e =
-          let time = E.now e + 1 in
-          List.iter
-            (fun (t, b, v) ->
-              if t = time && E.is_idle e b then E.demand e ~box:b ~video:v)
-            sc.CGen.script;
-          E.step e
-        in
-        let rs = feed scratch in
-        let ri = feed incremental in
-        if not !diverged then begin
-          if rs.E.served <> ri.E.served || rs.E.unserved <> ri.E.unserved then
-            Alcotest.failf
-              "seed %d round %d (%s): scratch served %d deficit %d, incremental \
-               served %d deficit %d"
-              seed rs.E.time sc.CGen.label rs.E.served rs.E.unserved ri.E.served
-              ri.E.unserved;
-          if rs.E.unserved > 0 then diverged := true
-        end
-      done;
-      match E.matching_stats incremental with
-      | None -> Alcotest.fail "incremental engine lost its matcher stats"
-      | Some s ->
-          checki "every matched round is a full or warm solve"
-            s.B.Incremental.rounds
-            (s.B.Incremental.full_solves + s.B.Incremental.incremental_solves);
-          total_incremental := !total_incremental + s.B.Incremental.incremental_solves)
-    [ 2; 11; 23 ];
-  checkb "warm-start repair actually ran" true (!total_incremental > 0)
-
-(* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -466,12 +344,6 @@ let qcheck_cases =
         let sc1 = CGen.scenario (Prng.create ~seed ()) ~rounds:10 () in
         let sc2 = CGen.scenario (Prng.create ~seed ()) ~rounds:10 () in
         sc1.CGen.script = sc2.CGen.script && sc1.CGen.label = sc2.CGen.label);
-    (* 15 *)
-    seeded "incremental tracks scratch under edge churn" ~count:60 seed_gen
-      (fun seed ->
-        match incremental_tracks_scratch ~seed ~steps:8 with
-        | Ok () -> true
-        | Error m -> QCheck.Test.fail_reportf "seed %d: %s" seed m);
   ]
 
 (* Pinned-seed regression anchors: the deep fuzz sweeps (20k+ instances,
@@ -510,12 +382,5 @@ let suites =
       ] );
     ( "check.theorem1",
       [ Alcotest.test_case "inequality grid u in (1,8], mu in [1,4]" `Quick test_theorem1_grid ] );
-    ( "check.incremental",
-      [
-        Alcotest.test_case "pinned-seed churn anchors" `Quick
-          test_incremental_pinned_seeds;
-        Alcotest.test_case "engine lockstep: scratch vs incremental" `Quick
-          test_engine_lockstep_matching;
-      ] );
     ("check.properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
   ]

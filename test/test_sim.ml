@@ -273,91 +273,62 @@ let test_poor_box_plain_requests_allowed () =
   let r = Engine.step sim in
   checki "request issued" 1 r.Engine.active_requests
 
-(* The sharded matching engine must be bit-identical at any job count:
-   shard composition and merge order never depend on [jobs], only on
-   the instance.  Heavy churn (cancels, outages) exercises the
-   delta-CSR tracking on every engine equally. *)
-let test_sharded_engine_jobs_identical () =
-  let mk jobs =
-    let params, fleet, alloc = build_system ~n:12 ~m:4 () in
-    Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue
-      ~matching:Engine.Sharded ~jobs ()
+(* The delta-CSR build is the engine's one build path.  A twin engine
+   whose instance is invalidated before every step ([set_alloc] with its
+   own allocation) always takes the scratch build; under the same
+   demands, cancels and online churn both must build the same instance
+   and report the same round.  Run above the threshold and below it, so
+   stalled rounds, which dirty their stripes, are covered too.  Returns
+   the number of failing rounds and of delta builds the run made. *)
+let delta_build_lockstep ~u ~seed =
+  let mk () =
+    let params, fleet, alloc = build_system ~n:12 ~m:4 ~u () in
+    Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue ()
   in
-  let engines = [ mk 1; mk 2; mk 4 ] in
-  let reference = List.hd engines in
-  let g = Prng.create ~seed:21 () in
-  let instance_view e =
+  let delta = mk () and twin = mk () in
+  let both f = List.iter f [ delta; twin ] in
+  let delta_builds =
+    Vod_obs.Registry.counter Vod_obs.Registry.default "engine.delta_builds"
+  in
+  let builds0 = Vod_obs.Registry.counter_value delta_builds in
+  let view e =
     Option.map
       (fun b -> Vod_graph.Csr.to_adjacency (Vod_graph.Bipartite.csr b))
       (Engine.last_instance e)
   in
+  let g = Prng.create ~seed () in
+  let failing = ref 0 in
   for _ = 1 to 40 do
     for _ = 1 to 1 + Prng.int g 3 do
       let box = Prng.int g 12 and video = Prng.int g 4 in
-      if Engine.is_idle reference box then
-        List.iter (fun e -> Engine.demand e ~box ~video) engines
+      if Engine.is_idle delta box then both (fun e -> Engine.demand e ~box ~video)
     done;
     if Prng.int g 5 = 0 then begin
       let box = Prng.int g 12 in
-      List.iter (fun e -> Engine.cancel e box) engines
+      both (fun e -> Engine.cancel e box)
     end;
     if Prng.int g 7 = 0 then begin
       let box = Prng.int g 12 in
-      let online = not (Engine.is_online reference box) in
-      List.iter (fun e -> Engine.set_online e box online) engines
+      let online = not (Engine.is_online delta box) in
+      both (fun e -> Engine.set_online e box online)
     end;
-    match List.map (fun e -> (e, Engine.step e)) engines with
-    | (_, r0) :: rest ->
-        List.iter
-          (fun (_, r) ->
-            checki "served identical across jobs" r0.Engine.served r.Engine.served;
-            checki "active identical across jobs" r0.Engine.active_requests
-              r.Engine.active_requests;
-            checki "unserved identical across jobs" r0.Engine.unserved r.Engine.unserved)
-          rest;
-        let v0 = instance_view reference in
-        List.iter
-          (fun (e, _) ->
-            checkb "instances identical across jobs" true (instance_view e = v0))
-          rest
-    | [] -> ()
-  done
-
-(* With the same scheduler and no deficits, the sharded engine runs in
-   lockstep with the scratch engine: its delta-rebuilt instances carry
-   the same edge sets and its merged matchings are maximum on them. *)
-let test_sharded_engine_lockstep_with_scratch () =
-  let mk matching =
-    let params, fleet, alloc = build_system ~n:12 ~m:4 () in
-    Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue ~matching ()
-  in
-  let scratch = mk Engine.Scratch and sharded = mk Engine.Sharded in
-  let g = Prng.create ~seed:22 () in
-  for _ = 1 to 40 do
-    for _ = 1 to 1 + Prng.int g 3 do
-      let box = Prng.int g 12 and video = Prng.int g 4 in
-      if Engine.is_idle scratch box then begin
-        Engine.demand scratch ~box ~video;
-        Engine.demand sharded ~box ~video
-      end
-    done;
-    if Prng.int g 4 = 0 then begin
-      let box = Prng.int g 12 in
-      Engine.cancel scratch box;
-      Engine.cancel sharded box
-    end;
-    let rs = Engine.step scratch and rh = Engine.step sharded in
-    checki "no deficit in the comfortable system" 0 rs.Engine.unserved;
-    checki "served in lockstep" rs.Engine.served rh.Engine.served;
-    checki "active in lockstep" rs.Engine.active_requests rh.Engine.active_requests;
-    let view e =
-      Option.map
-        (fun b -> Vod_graph.Csr.to_adjacency (Vod_graph.Bipartite.csr b))
-        (Engine.last_instance e)
-    in
+    Engine.set_alloc twin (Engine.alloc twin);
+    let rd = Engine.step delta and rt = Engine.step twin in
     checkb "delta-rebuilt instance equals the scratch build" true
-      (view sharded = view scratch)
-  done
+      (view delta = view twin);
+    checki "served in lockstep" rt.Engine.served rd.Engine.served;
+    checki "unserved in lockstep" rt.Engine.unserved rd.Engine.unserved;
+    checki "active in lockstep" rt.Engine.active_requests rd.Engine.active_requests;
+    if rd.Engine.unserved > 0 then incr failing
+  done;
+  (!failing, Vod_obs.Registry.counter_value delta_builds - builds0)
+
+let test_delta_build_lockstep_with_scratch () =
+  let failing_above, builds = delta_build_lockstep ~u:2.0 ~seed:21 in
+  checkb "delta builds ran above the threshold" true (builds > 0);
+  let failing_below, builds = delta_build_lockstep ~u:0.75 ~seed:22 in
+  checkb "delta builds ran below the threshold" true (builds > 0);
+  checkb "more rounds fail below the threshold" true (failing_below > failing_above)
 
 let test_metrics_summarise_empty () =
   let m = Metrics.summarise [] in
@@ -388,10 +359,10 @@ let suites =
         Alcotest.test_case "relay lifecycle" `Quick test_relay_lifecycle;
         Alcotest.test_case "poor box plain requests" `Quick test_poor_box_plain_requests_allowed;
       ] );
-    ( "sim.sharded",
+    ( "sim.delta_build",
       [
-        Alcotest.test_case "jobs-identical outputs" `Quick test_sharded_engine_jobs_identical;
-        Alcotest.test_case "lockstep with scratch" `Quick test_sharded_engine_lockstep_with_scratch;
+        Alcotest.test_case "lockstep with scratch" `Quick
+          test_delta_build_lockstep_with_scratch;
       ] );
     ( "sim.metrics",
       [ Alcotest.test_case "empty summary" `Quick test_metrics_summarise_empty ] );

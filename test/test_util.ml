@@ -211,12 +211,29 @@ let test_poisson_moments () =
       for _ = 1 to 20_000 do
         Stats.Running.add r (float_of_int (Sample.poisson g lambda))
       done;
-      let m = Stats.Running.mean r in
+      let m = Stats.Running.mean r and v = Stats.Running.variance r in
       checkb
         (Printf.sprintf "poisson(%g) mean ~ lambda (got %g)" lambda m)
         true
-        (Float.abs (m -. lambda) < 0.1 +. (0.05 *. lambda)))
-    [ 0.5; 3.0; 25.0; 80.0 ]
+        (Float.abs (m -. lambda) < 0.1 +. (0.05 *. lambda));
+      checkb
+        (Printf.sprintf "poisson(%g) variance ~ lambda (got %g)" lambda v)
+        true
+        (Float.abs (v -. lambda) < 0.1 +. (0.1 *. lambda)))
+    [ 0.5; 3.0; 25.0; 80.0; 1e6 ]
+
+(* The rejection step's log k! is O(1): a draw at lambda = 1e12 returns
+   at once and lands within 6 standard deviations of lambda. *)
+let test_poisson_huge_rate () =
+  let g = Prng.create ~seed:10 () in
+  let lambda = 1e12 in
+  for _ = 1 to 100 do
+    let k = float_of_int (Sample.poisson g lambda) in
+    checkb
+      (Printf.sprintf "poisson(1e12) within 6 sigma (got %.0f)" k)
+      true
+      (Float.abs (k -. lambda) <= 6.0 *. sqrt lambda)
+  done
 
 let test_poisson_zero () =
   let g = Prng.create () in
@@ -716,6 +733,7 @@ let suites =
         Alcotest.test_case "zipf draw skew" `Quick test_zipf_draw_skew;
         Alcotest.test_case "poisson moments" `Quick test_poisson_moments;
         Alcotest.test_case "poisson zero" `Quick test_poisson_zero;
+        Alcotest.test_case "poisson huge rate" `Quick test_poisson_huge_rate;
         Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
       ] );
     ( "util.vec",
