@@ -430,6 +430,35 @@ let test_chaos_deterministic_jsonl () =
       checki "rep seeds spaced" (s.Scenario.seed + 1000) b.Chaos.seed
   | _ -> Alcotest.fail "expected 2 outcomes"
 
+(* Byte-pin of the vod-chaos/1 and vod-slo/1 streams over scenarios that
+   exercise every bring-up path: faults and flash crowds
+   (crash_rejoin), KPI budgets compiled to SLOs (crash_heal), Theorem 2
+   compensation (rich_poor_balanced) and helper seeding and marking
+   (helpers_churn).  Regenerate with, for each scenario in order,
+     dune exec bin/vodctl.exe -- chaos SCN --slo-out slo.jsonl
+   appending its stdout and then slo.jsonl to test/chaos_golden.jsonl. *)
+let chaos_golden_scenarios =
+  [
+    "../examples/crash_rejoin.scn";
+    "../examples/battery/crash_heal.scn";
+    "../examples/battery/rich_poor_balanced.scn";
+    "../examples/battery/helpers_churn.scn";
+  ]
+
+let test_chaos_golden () =
+  let streams =
+    List.map
+      (fun path ->
+        match Scenario.load ~path with
+        | Error m -> Alcotest.fail m
+        | Ok s ->
+            let o = Result.get_ok (Chaos.run s) in
+            o.Chaos.jsonl ^ o.Chaos.slo_jsonl)
+      chaos_golden_scenarios
+  in
+  let golden = In_channel.with_open_text "chaos_golden.jsonl" In_channel.input_all in
+  checks "vod-chaos/1 + vod-slo/1 match the golden pin" golden (String.concat "" streams)
+
 let test_chaos_recovers () =
   let s = Result.get_ok (Scenario.parse ~name:"crashy" crashy_scenario_text) in
   let o = Result.get_ok (Chaos.run s) in
@@ -600,6 +629,7 @@ let suites =
       [
         Alcotest.test_case "empty plan lockstep" `Quick test_chaos_empty_plan_lockstep;
         Alcotest.test_case "deterministic jsonl" `Quick test_chaos_deterministic_jsonl;
+        Alcotest.test_case "golden pin" `Quick test_chaos_golden;
         Alcotest.test_case "recovers" `Quick test_chaos_recovers;
         Alcotest.test_case "kpi budgets compile to slos" `Quick
           test_chaos_slo_compilation;
