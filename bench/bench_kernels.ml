@@ -25,8 +25,6 @@ type record = Bench_matching.record = {
   alloc_per_round : float;
 }
 
-let now_ns () = Unix.gettimeofday () *. 1e9
-
 let best_of ~repeats f =
   let best = ref infinity and work = ref 0 and bytes = ref 0.0 in
   for _ = 1 to repeats do
@@ -67,8 +65,8 @@ let time_layer_bitset csr =
   let row_start = Csr.row_start csr and col = Csr.col csr in
   let frontier = Bitset.create n_right and visited = Bitset.create n_right in
   let built = ref 0 in
-  let b0 = Gc.allocated_bytes () in
-  let t0 = now_ns () in
+  let b0 = Bench_matching.allocated_bytes () in
+  let t0 = Bench_matching.now_ns () in
   for _ = 1 to layer_rounds do
     Bitset.clear visited;
     for r = 0 to (n_right / 3) - 1 do
@@ -89,7 +87,7 @@ let time_layer_bitset csr =
     Bitset.andnot_into ~dst:frontier visited;
     built := !built + Bitset.cardinal frontier
   done;
-  (now_ns () -. t0, !built, Gc.allocated_bytes () -. b0)
+  (Bench_matching.now_ns () -. t0, !built, Bench_matching.allocated_bytes () -. b0)
 
 let time_layer_array csr =
   let n_left = Csr.n_left csr and n_right = Csr.n_right csr in
@@ -97,8 +95,8 @@ let time_layer_array csr =
   let seen = Array.make n_right false in
   let layer = Array.make n_right 0 in
   let built = ref 0 in
-  let b0 = Gc.allocated_bytes () in
-  let t0 = now_ns () in
+  let b0 = Bench_matching.allocated_bytes () in
+  let t0 = Bench_matching.now_ns () in
   for _ = 1 to layer_rounds do
     Array.fill seen 0 n_right false;
     for r = 0 to (n_right / 3) - 1 do
@@ -119,7 +117,7 @@ let time_layer_array csr =
     done;
     built := !built + !filled
   done;
-  (now_ns () -. t0, !built, Gc.allocated_bytes () -. b0)
+  (Bench_matching.now_ns () -. t0, !built, Bench_matching.allocated_bytes () -. b0)
 
 (* ------------------------------------------------------------------ *)
 

@@ -50,18 +50,16 @@ let scenario ~rate ~rounds =
     events = [];
   }
 
-let now_ns () = Unix.gettimeofday () *. 1e9
-
 (* (best ns, outcome, smallest alloc delta) over [reps] timed runs. *)
 let best_of f =
   ignore (f ());
   let best = ref infinity and out = ref None and alloc = ref infinity in
   for _ = 1 to reps do
-    let b0 = Gc.allocated_bytes () in
-    let t0 = now_ns () in
+    let b0 = Bench_matching.allocated_bytes () in
+    let t0 = Bench_matching.now_ns () in
     let o = f () in
-    let ns = now_ns () -. t0 in
-    let bytes = Gc.allocated_bytes () -. b0 in
+    let ns = Bench_matching.now_ns () -. t0 in
+    let bytes = Bench_matching.allocated_bytes () -. b0 in
     if ns < !best then begin
       best := ns;
       out := Some o

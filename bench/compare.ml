@@ -39,150 +39,9 @@
    clean, 1 regression/drift/missing, 2 bad input.  Wired as the CI
    perf stage and as `make bench-compare`. *)
 
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON reader (objects, arrays, strings, numbers — the subset
-   bench_matching.emit_json writes; no external JSON dependency).      *)
-(* ------------------------------------------------------------------ *)
-
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-  | Bool of bool
-  | Null
-
-exception Parse of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail m = raise (Parse (Printf.sprintf "%s at offset %d" m !pos)) in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    if !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    then begin
-      advance ();
-      skip_ws ()
-    end
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then fail (Printf.sprintf "expected '%c'" c);
-    advance ()
-  in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail ("expected " ^ word)
-  in
-  let string_body () =
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          if !pos >= n then fail "dangling escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | c -> fail (Printf.sprintf "unsupported escape \\%c" c));
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    let is_num_char c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            expect '"';
-            let key = string_body () in
-            expect ':';
-            let v = value () in
-            fields := (key, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                members ()
-            | '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          members ();
-          Obj (List.rev !fields)
-        end
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                elements ()
-            | ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements ();
-          Arr (List.rev !items)
-        end
-    | '"' ->
-        advance ();
-        Str (string_body ())
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | c when c = '-' || (c >= '0' && c <= '9') -> Num (number ())
-    | _ -> fail "unexpected character"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+(* Records are read with the project's one JSON reader ({!Vod_json},
+   stdlib only): the gate links nothing else of the code under test. *)
+module Json = Vod_json
 
 (* ------------------------------------------------------------------ *)
 (* Record extraction and comparison                                    *)
@@ -195,10 +54,6 @@ type record = {
   matched_per_round : float option; (* absent in pre-drift-gate files *)
 }
 
-let field key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
-
 let records_of_file path =
   let contents =
     let ic = open_in path in
@@ -206,25 +61,27 @@ let records_of_file path =
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  let root = parse_json contents in
-  (match field "schema" root with
-  | Some (Str "vod-bench-matching/1") -> ()
-  | _ -> raise (Parse (path ^ ": missing or unknown \"schema\"")));
-  match field "records" root with
-  | Some (Arr items) ->
+  let root = Json.parse contents in
+  (match Json.field "schema" root with
+  | Some (Json.Str "vod-bench-matching/1") -> ()
+  | _ -> raise (Json.Parse (path ^ ": missing or unknown \"schema\"")));
+  match Json.field "records" root with
+  | Some (Json.Arr items) ->
       List.map
         (fun item ->
-          match (field "name" item, field "n" item, field "ns_per_round" item) with
-          | Some (Str name), Some (Num n), Some (Num ns) ->
+          match
+            (Json.field "name" item, Json.field "n" item, Json.field "ns_per_round" item)
+          with
+          | Some (Json.Str name), Some (Json.Num n), Some (Json.Num ns) ->
               let matched_per_round =
-                match field "matched_per_round" item with
-                | Some (Num m) -> Some m
+                match Json.field "matched_per_round" item with
+                | Some (Json.Num m) -> Some m
                 | _ -> None
               in
               { name; n = int_of_float n; ns_per_round = ns; matched_per_round }
-          | _ -> raise (Parse (path ^ ": malformed record")))
+          | _ -> raise (Json.Parse (path ^ ": malformed record")))
         items
-  | _ -> raise (Parse (path ^ ": missing \"records\" array"))
+  | _ -> raise (Json.Parse (path ^ ": missing \"records\" array"))
 
 (* ------------------------------------------------------------------ *)
 (* The diff                                                            *)
@@ -454,7 +311,7 @@ let () =
   match (List.rev !paths, List.rev !ceilings) with
   | [ current_path ], (_ :: _ as ceilings) -> (
       try check_ceilings ceilings current_path with
-      | Parse m ->
+      | Json.Parse m ->
           prerr_endline ("compare: " ^ m);
           exit 2
       | Sys_error m ->
@@ -471,7 +328,7 @@ let () =
         print_offenders ~threshold:!threshold rows;
         exit (if List.exists (fun r -> failing r.status) rows then 1 else 0)
       with
-      | Parse m ->
+      | Json.Parse m ->
           prerr_endline ("compare: " ^ m);
           exit 2
       | Sys_error m ->

@@ -22,6 +22,22 @@ open Cmdliner
 (* Shared arguments                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Bounded integers: an out-of-range value is a usage error (exit 124)
+   reported by cmdliner, not an exception from inside a run. *)
+let int_at_least lo =
+  let parse str =
+    match int_of_string_opt str with
+    | Some v when v >= lo -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got '%s'" lo str))
+  in
+  Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
+
+let pos_int = int_at_least 1
+let nonneg_int = int_at_least 0
+
+let jobs_arg doc =
+  Arg.(value & opt (some pos_int) None & info [ "jobs"; "j" ] ~docv:"J" ~doc)
+
 let n_arg =
   Arg.(value & opt int 64 & info [ "n" ] ~docv:"N" ~doc:"Number of boxes.")
 
@@ -62,10 +78,31 @@ let duration_arg =
     value & opt int 30 & info [ "duration" ] ~docv:"T" ~doc:"Video duration in rounds.")
 
 let rounds_arg =
-  Arg.(value & opt int 100 & info [ "rounds" ] ~docv:"R" ~doc:"Rounds to simulate.")
+  Arg.(value & opt nonneg_int 100 & info [ "rounds" ] ~docv:"R" ~doc:"Rounds to simulate.")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
+
+let scenario_rounds_arg =
+  Arg.(
+    value
+    & opt (some nonneg_int) None
+    & info [ "rounds" ] ~docv:"R" ~doc:"Override the scenario's round count.")
+
+let scenario_seed_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's seed.")
+
+let replications_arg =
+  Arg.(
+    value & opt pos_int 1
+    & info [ "replications" ] ~docv:"N"
+        ~doc:"Independent replications (replication $(i,i) runs at seed + 1000*i).")
+
+let replication_jobs_arg =
+  jobs_arg "Workers for parallel replications; the output is independent of $(docv)."
 
 let scheme_arg =
   let schemes =
@@ -105,7 +142,7 @@ let build_system ~n ~u ~d ~c ~k ~m ~mu ~duration ~seed ~scheme =
   (params, fleet, alloc)
 
 (* [suffixed "a/b.jsonl" ".rep2"] = "a/b.rep2.jsonl": the per-replication
-   (or per-cell) trace naming of chaos/battery --obs-out. *)
+   (or per-cell) trace naming of --obs-out. *)
 let suffixed path tag =
   let dir = Filename.dirname path and base = Filename.basename path in
   let with_tag =
@@ -116,18 +153,99 @@ let suffixed path tag =
   if dir = "." && not (String.length path > 1 && path.[0] = '.' && path.[1] = '/') then with_tag
   else Filename.concat dir with_tag
 
-(* Span recording goes through a process-global sink, so runs being
-   traced must not share the process with concurrent runs: callers
-   force their replications/cells sequential and say so when --jobs
-   asked for more. *)
-let warn_obs_sequential jobs =
-  match jobs with
-  | Some j when j > 1 ->
-      Printf.eprintf
-        "note: span recording is process-global; running sequentially despite --jobs %d \
-         (the output bytes do not depend on --jobs)\n"
-        j
-  | _ -> ()
+(* ------------------------------------------------------------------ *)
+(* Trace capture (--obs-out / --obs-summary)                           *)
+(* ------------------------------------------------------------------ *)
+
+type obs = {
+  obs_out : string option;
+  obs_summary : bool;
+  mutable traces : (string option * Vod.Obs.Report.trace) list; (* newest first *)
+}
+
+let obs_term =
+  let obs_out_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "obs-out" ] ~docv:"FILE"
+          ~doc:
+            "Record an observability trace (spans + metrics) and write it to FILE as \
+             JSONL; inspect it with $(b,vodctl obs-report).  Each replication or \
+             battery cell gets its own file, FILE with a .rep$(i,i) or \
+             .$(i,scenario).$(i,config) suffix; traced runs go one at a time.")
+  in
+  let obs_summary_arg =
+    Arg.(
+      value & flag
+      & info [ "obs-summary" ]
+          ~doc:
+            "Record observability traces and print the per-phase timing table and \
+             metric counters of each run after its output; traced runs go one at a \
+             time.")
+  in
+  Term.(
+    const (fun obs_out obs_summary -> { obs_out; obs_summary; traces = [] })
+    $ obs_out_arg $ obs_summary_arg)
+
+let tracing o = o.obs_out <> None || o.obs_summary
+
+(* Span recording goes through a process-global sink, so traced runs
+   must not share the process with concurrent runs: they go one at a
+   time, with a note when --jobs asked for more. *)
+let traced_jobs o jobs =
+  if not (tracing o) then jobs
+  else begin
+    (match jobs with
+    | Some j when j > 1 ->
+        Printf.eprintf
+          "note: span recording is process-global; running sequentially despite --jobs %d \
+           (the output bytes do not depend on --jobs)\n"
+          j
+    | _ -> ());
+    Some 1
+  end
+
+(* Run [f] as one traced run when tracing: the registry reset, a fresh
+   span recorder installed around [f], the trace written to --obs-out
+   (with [suffix] before the extension) and kept for [print_summaries].
+   [name] labels the run in messages and summary headings. *)
+let capture o ~name ~suffix f =
+  if not (tracing o) then f ()
+  else begin
+    Vod.Obs.Registry.reset Vod.Obs.Registry.default;
+    let r = Vod.Obs.Span.create_recorder () in
+    Vod.Obs.Span.install r;
+    let x = Fun.protect ~finally:Vod.Obs.Span.uninstall f in
+    (match o.obs_out with
+    | None -> ()
+    | Some base ->
+        let path = if suffix = "" then base else suffixed base suffix in
+        Vod.Obs.Export.save ~registry:Vod.Obs.Registry.default r ~path;
+        Printf.eprintf "observability trace%s written to %s\n"
+          (match name with Some nm -> " (" ^ nm ^ ")" | None -> "")
+          path);
+    if o.obs_summary then
+      o.traces <-
+        (name, Vod.Obs.Report.of_recorder ~registry:Vod.Obs.Registry.default r) :: o.traces;
+    x
+  end
+
+let print_summaries o =
+  List.iter
+    (fun (name, trace) ->
+      Option.iter (Printf.printf "--- observability summary: %s ---\n") name;
+      Vod.Obs.Report.print_summary trace)
+    (List.rev o.traces)
+
+(* The replications of a scenario run, each one captured; replication
+   [i] is traced to FILE.rep<i> when there are several. *)
+let replicate o ~jobs ~rounds ~replications scenario run =
+  Vod.Fault.Chaos.replicate ~jobs:(traced_jobs o jobs) ~rounds ~replications scenario
+    (fun i ->
+      let suffix = if replications = 1 then "" else Printf.sprintf ".rep%d" i in
+      capture o ~name:(Some (Printf.sprintf "replication %d" i)) ~suffix (fun () ->
+          run ~seed:(Vod.Fault.Chaos.replication_seed scenario i)))
 
 (* ------------------------------------------------------------------ *)
 (* bounds                                                              *)
@@ -260,8 +378,7 @@ let solver_counters =
   ]
 
 let simulate_cmd =
-  let run n u d c k m mu duration rounds seed scheme workload rate csv load obs_out
-      obs_summary =
+  let run n u d c k m mu duration rounds seed scheme workload rate csv load obs =
     try
       let params, fleet, alloc =
         match load with
@@ -278,58 +395,38 @@ let simulate_cmd =
                 let fleet = Vod.Box.Fleet.homogeneous ~n ~u ~d in
                 (params, fleet, alloc))
       in
-      let recorder =
-        if obs_out <> None || obs_summary then begin
-          (* start the run from zero so the trace covers exactly this run *)
-          Vod.Obs.Registry.reset Vod.Obs.Registry.default;
-          let r = Vod.Obs.Span.create_recorder () in
-          Vod.Obs.Span.install r;
-          Some r
-        end
-        else None
-      in
-      let sim = Vod.Engine.create ~params ~fleet ~alloc ~policy:Vod.Engine.Continue () in
-      let g = Vod.Prng.create ~seed:(seed + 7) () in
-      let gen =
-        match workload with
-        | `Zipf -> Vod.Generators.zipf_arrivals g ~rate ~s:0.9
-        | `Uniform -> Vod.Generators.uniform_arrivals g ~rate
-        | `Flash -> Vod.Generators.flash_crowd g ~video:0 ~background_rate:rate ()
-      in
-      let trace = Vod.Trace.create () in
-      Vod.Trace.run trace sim ~rounds ~demands_for:gen;
-      let metrics = Vod.Trace.summarise trace in
-      Format.printf "%a@." Vod.Metrics.pp metrics;
-      Printf.printf "peak active stripe requests: %d (mean %.1f)\n"
-        metrics.Vod.Metrics.peak_active metrics.Vod.Metrics.mean_active;
-      Printf.printf "swarming share: %.1f%%\n" (100.0 *. metrics.Vod.Metrics.cache_share);
-      let delays = Vod.Engine.startup_delays sim in
-      if Array.length delays > 0 then begin
-        let fdelays = Array.map float_of_int delays in
-        Printf.printf "start-up delay (rounds until all stripes stream): mean %.2f, max %.0f\n"
-          (Vod.Stats.mean fdelays)
-          (Array.fold_left Float.max 0.0 fdelays)
-      end;
-      (match metrics.Vod.Metrics.first_failure with
-      | None -> print_endline "verdict: every request served on time"
-      | Some t -> Printf.printf "verdict: first failed round at t = %d\n" t);
-      (match csv with
-      | None -> ()
-      | Some path ->
-          Vod.Trace.save_csv trace ~path;
-          Printf.printf "per-round trace written to %s\n" path);
-      (match recorder with
-      | None -> ()
-      | Some r ->
-          Vod.Obs.Span.uninstall ();
-          (match obs_out with
-          | None -> ()
-          | Some path ->
-              Vod.Obs.Export.save ~registry:Vod.Obs.Registry.default r ~path;
-              Printf.printf "observability trace written to %s\n" path);
-          if obs_summary then
-            Vod.Obs.Report.print_summary
-              (Vod.Obs.Report.of_recorder ~registry:Vod.Obs.Registry.default r));
+      capture obs ~name:None ~suffix:"" (fun () ->
+        let sim = Vod.Engine.create ~params ~fleet ~alloc ~policy:Vod.Engine.Continue () in
+        let g = Vod.Prng.create ~seed:(seed + 7) () in
+        let gen =
+          match workload with
+          | `Zipf -> Vod.Generators.zipf_arrivals g ~rate ~s:0.9
+          | `Uniform -> Vod.Generators.uniform_arrivals g ~rate
+          | `Flash -> Vod.Generators.flash_crowd g ~video:0 ~background_rate:rate ()
+        in
+        let trace = Vod.Trace.create () in
+        Vod.Trace.run trace sim ~rounds ~demands_for:gen;
+        let metrics = Vod.Trace.summarise trace in
+        Format.printf "%a@." Vod.Metrics.pp metrics;
+        Printf.printf "peak active stripe requests: %d (mean %.1f)\n"
+          metrics.Vod.Metrics.peak_active metrics.Vod.Metrics.mean_active;
+        Printf.printf "swarming share: %.1f%%\n" (100.0 *. metrics.Vod.Metrics.cache_share);
+        let delays = Vod.Engine.startup_delays sim in
+        if Array.length delays > 0 then begin
+          let fdelays = Array.map float_of_int delays in
+          Printf.printf "start-up delay (rounds until all stripes stream): mean %.2f, max %.0f\n"
+            (Vod.Stats.mean fdelays)
+            (Array.fold_left Float.max 0.0 fdelays)
+        end;
+        (match metrics.Vod.Metrics.first_failure with
+        | None -> print_endline "verdict: every request served on time"
+        | Some t -> Printf.printf "verdict: first failed round at t = %d\n" t);
+        (match csv with
+        | None -> ()
+        | Some path ->
+            Vod.Trace.save_csv trace ~path;
+            Printf.printf "per-round trace written to %s\n" path));
+      print_summaries obs;
       `Ok ()
     with
     | Invalid_argument e -> `Error (false, e)
@@ -349,28 +446,13 @@ let simulate_cmd =
           ~doc:"Load the allocation from FILE (written by allocate --save) instead of \
                 generating one; -n/-c/-k/-m/--scheme are then ignored.")
   in
-  let obs_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "obs-out" ] ~docv:"FILE"
-          ~doc:"Record an observability trace (spans + metrics) and write it to FILE \
-                as JSONL; inspect it with $(b,vodctl obs-report).")
-  in
-  let obs_summary_arg =
-    Arg.(
-      value & flag
-      & info [ "obs-summary" ]
-          ~doc:"Record an observability trace and print the per-phase timing table \
-                and metric counters after the run.")
-  in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a demand workload through the round engine.")
     Term.(
       ret
         (const run $ n_arg $ u_arg $ d_arg $ c_arg $ k_arg $ m_arg $ mu_arg
        $ duration_arg $ rounds_arg $ seed_arg $ scheme_arg $ workload_arg $ rate_arg
-       $ csv_arg $ load_arg $ obs_out_arg $ obs_summary_arg))
+       $ csv_arg $ load_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* attack                                                              *)
@@ -440,7 +522,6 @@ let attack_cmd =
 let sweep_cmd =
   let run n d c k seed lo hi steps jobs replications sim_rounds =
     if steps < 2 then `Error (false, "need at least 2 steps")
-    else if replications < 1 then `Error (false, "need at least 1 replication")
     else begin
       try
         let c = match c with Some c -> c | None -> 2 in
@@ -571,20 +652,10 @@ let sweep_cmd =
   let lo_arg = Arg.(value & opt float 0.5 & info [ "from" ] ~docv:"LO" ~doc:"Lowest u.") in
   let hi_arg = Arg.(value & opt float 3.0 & info [ "to" ] ~docv:"HI" ~doc:"Highest u.") in
   let steps_arg = Arg.(value & opt int 9 & info [ "steps" ] ~doc:"Sweep points.") in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"J"
-          ~doc:
-            "Worker count for running sweep points in parallel (defaults to the \
-             backend's recommendation; the sequential fallback on OCaml 4 uses 1).  \
-             Results are independent of $(docv).")
-  in
   let replications_arg =
     Arg.(
       value
-      & opt int 3
+      & opt pos_int 3
       & info [ "replications" ] ~docv:"R"
           ~doc:
             "Independent replications per sweep point, each with its own derived \
@@ -593,7 +664,7 @@ let sweep_cmd =
   let sim_rounds_arg =
     Arg.(
       value
-      & opt int 40
+      & opt nonneg_int 40
       & info [ "rounds" ] ~docv:"R"
           ~doc:"Rounds of uniform-arrival simulation per replication.")
   in
@@ -605,7 +676,12 @@ let sweep_cmd =
     Term.(
       ret
         (const run $ n_arg $ d_arg $ c_arg $ k_arg $ seed_arg $ lo_arg $ hi_arg
-       $ steps_arg $ jobs_arg $ replications_arg $ sim_rounds_arg))
+       $ steps_arg
+       $ jobs_arg
+           "Worker count for running sweep points in parallel (defaults to the \
+            backend's recommendation; the sequential fallback on OCaml 4 uses 1).  \
+            Results are independent of $(docv)."
+       $ replications_arg $ sim_rounds_arg))
 
 (* ------------------------------------------------------------------ *)
 (* plan                                                                *)
@@ -766,161 +842,81 @@ let check_cmd =
 (* ------------------------------------------------------------------ *)
 
 let chaos_cmd =
-  let run path rounds seed replications jobs out slo_out obs_out obs_summary =
-    if replications < 1 then `Error (false, "need at least 1 replication")
-    else
-      match Vod.Fault.Scenario.load ~path with
-      | Error e -> `Error (false, e)
-      | Ok scenario -> (
-          let scenario =
-            match seed with
-            | Some seed -> { scenario with Vod.Fault.Scenario.seed }
-            | None -> scenario
-          in
-          let obs_on = obs_out <> None || obs_summary in
-          let obs_traces = ref [] in
-          let result =
-            if obs_on then begin
-              (* per-replication recorder, sequential (see
-                 warn_obs_sequential); seeds match run_many's formula so
-                 the verdict streams are the ones a plain run emits *)
-              warn_obs_sequential jobs;
-              match Vod.Fault.Chaos.validate scenario with
-              | Error _ as err -> err
-              | Ok () ->
-                  let rec go i acc =
-                    if i = replications then Ok (List.rev acc)
-                    else begin
-                      Vod.Obs.Registry.reset Vod.Obs.Registry.default;
-                      let r = Vod.Obs.Span.create_recorder () in
-                      Vod.Obs.Span.install r;
-                      let res =
-                        Vod.Fault.Chaos.run ?rounds
-                          ~seed:(scenario.Vod.Fault.Scenario.seed + (1000 * i))
-                          scenario
-                      in
-                      Vod.Obs.Span.uninstall ();
-                      match res with
-                      | Error _ as err -> err
-                      | Ok o ->
-                          (match obs_out with
-                          | None -> ()
-                          | Some base ->
-                              let p =
-                                if replications = 1 then base
-                                else suffixed base (Printf.sprintf ".rep%d" i)
-                              in
-                              Vod.Obs.Export.save ~registry:Vod.Obs.Registry.default r
-                                ~path:p;
-                              Printf.eprintf "observability trace (rep %d) written to %s\n"
-                                i p);
-                          if obs_summary then
-                            obs_traces :=
-                              ( i,
-                                Vod.Obs.Report.of_recorder
-                                  ~registry:Vod.Obs.Registry.default r )
-                              :: !obs_traces;
-                          go (i + 1) (o :: acc)
-                    end
-                  in
-                  go 0 []
-            end
-            else if replications = 1 then
-              Result.map (fun o -> [ o ]) (Vod.Fault.Chaos.run ?rounds scenario)
-            else Vod.Fault.Chaos.run_many ?rounds ?jobs ~replications scenario
-          in
-          match result with
-          | Error e -> `Error (false, e)
-          | Ok outcomes ->
-              (* The JSONL stream (replications concatenated in order) is
-                 the machine-readable verdict: byte-identical for the
-                 same scenario/seed at any --jobs value. *)
-              let jsonl =
-                String.concat "" (List.map (fun o -> o.Vod.Fault.Chaos.jsonl) outcomes)
-              in
-              (match out with
-              | None -> print_string jsonl
-              | Some path ->
-                  Out_channel.with_open_text path (fun oc ->
-                      Out_channel.output_string oc jsonl);
-                  Printf.eprintf "chaos verdict stream written to %s\n" path);
-              (match slo_out with
-              | None -> ()
-              | Some path ->
-                  (* vod-slo/1, replications concatenated in order: the
-                     same byte-identity contract as the chaos stream *)
-                  let slo =
-                    String.concat ""
-                      (List.map (fun o -> o.Vod.Fault.Chaos.slo_jsonl) outcomes)
-                  in
-                  Out_channel.with_open_text path (fun oc ->
-                      Out_channel.output_string oc slo);
-                  Printf.eprintf "SLO verdict stream written to %s\n" path);
-              List.iter
-                (fun (i, trace) ->
-                  Printf.printf "--- observability summary: replication %d ---\n" i;
-                  Vod.Obs.Report.print_summary trace)
-                (List.rev !obs_traces);
-              List.iteri
-                (fun i o ->
-                  Printf.eprintf
-                    "rep %d (seed %d): %s; %d transfers (%d completed, %d aborted, %d \
-                     retries), %d replicas installed, %d unrepairable, time to full \
-                     replication %s, min online %d, unserved %d, faulted %d\n"
-                    i o.Vod.Fault.Chaos.seed
-                    (if Vod.Fault.Chaos.verdict_ok o then "RECOVERED" else "NOT RECOVERED")
-                    o.Vod.Fault.Chaos.stats.Vod.Fault.Mend.started
-                    o.Vod.Fault.Chaos.stats.Vod.Fault.Mend.completed
-                    o.Vod.Fault.Chaos.stats.Vod.Fault.Mend.aborted
-                    o.Vod.Fault.Chaos.stats.Vod.Fault.Mend.retries
-                    o.Vod.Fault.Chaos.stats.Vod.Fault.Mend.installed
-                    o.Vod.Fault.Chaos.unrepairable
-                    (match o.Vod.Fault.Chaos.time_to_full_replication with
-                    | -1 -> "never"
-                    | t -> Printf.sprintf "%d rounds" t)
-                    o.Vod.Fault.Chaos.min_online o.Vod.Fault.Chaos.total_unserved
-                    o.Vod.Fault.Chaos.total_faulted)
-                outcomes;
-              if List.for_all Vod.Fault.Chaos.verdict_ok outcomes then `Ok ()
-              else
-                `Error
-                  ( false,
-                    Printf.sprintf "%d of %d replications did not recover"
-                      (List.length
-                         (List.filter (fun o -> not (Vod.Fault.Chaos.verdict_ok o)) outcomes))
-                      (List.length outcomes) ))
-  in
+  let run path rounds seed replications jobs out slo_out obs =
+    match Vod.Fault.Scenario.load ~path with
+    | Error e -> `Error (false, e)
+    | Ok scenario -> (
+        let scenario =
+          match seed with
+          | Some seed -> { scenario with Vod.Fault.Scenario.seed }
+          | None -> scenario
+        in
+        let result =
+          replicate obs ~jobs ~rounds ~replications scenario (fun ~seed ->
+              Vod.Fault.Chaos.run ?rounds ~seed scenario)
+        in
+        match result with
+        | Error e -> `Error (false, e)
+        | Ok outcomes ->
+            (* The JSONL stream (replications concatenated in order) is
+               the machine-readable verdict: byte-identical for the
+               same scenario/seed at any --jobs value. *)
+            let jsonl =
+              String.concat "" (List.map (fun o -> o.Vod.Fault.Chaos.jsonl) outcomes)
+            in
+            (match out with
+            | None -> print_string jsonl
+            | Some path ->
+                Out_channel.with_open_text path (fun oc ->
+                    Out_channel.output_string oc jsonl);
+                Printf.eprintf "chaos verdict stream written to %s\n" path);
+            (match slo_out with
+            | None -> ()
+            | Some path ->
+                (* vod-slo/1, replications concatenated in order: the
+                   same byte-identity contract as the chaos stream *)
+                let slo =
+                  String.concat ""
+                    (List.map (fun o -> o.Vod.Fault.Chaos.slo_jsonl) outcomes)
+                in
+                Out_channel.with_open_text path (fun oc ->
+                    Out_channel.output_string oc slo);
+                Printf.eprintf "SLO verdict stream written to %s\n" path);
+            print_summaries obs;
+            List.iteri
+              (fun i o ->
+                Printf.eprintf
+                  "rep %d (seed %d): %s; %d transfers (%d completed, %d aborted, %d \
+                   retries), %d replicas installed, %d unrepairable, time to full \
+                   replication %s, min online %d, unserved %d, faulted %d\n"
+                  i o.Vod.Fault.Chaos.seed
+                  (if Vod.Fault.Chaos.verdict_ok o then "RECOVERED" else "NOT RECOVERED")
+                  o.Vod.Fault.Chaos.stats.Vod.Fault.Mend.started
+                  o.Vod.Fault.Chaos.stats.Vod.Fault.Mend.completed
+                  o.Vod.Fault.Chaos.stats.Vod.Fault.Mend.aborted
+                  o.Vod.Fault.Chaos.stats.Vod.Fault.Mend.retries
+                  o.Vod.Fault.Chaos.stats.Vod.Fault.Mend.installed
+                  o.Vod.Fault.Chaos.unrepairable
+                  (match o.Vod.Fault.Chaos.time_to_full_replication with
+                  | -1 -> "never"
+                  | t -> Printf.sprintf "%d rounds" t)
+                  o.Vod.Fault.Chaos.min_online o.Vod.Fault.Chaos.total_unserved
+                  o.Vod.Fault.Chaos.total_faulted)
+              outcomes;
+            if List.for_all Vod.Fault.Chaos.verdict_ok outcomes then `Ok ()
+            else
+              `Error
+                ( false,
+                  Printf.sprintf "%d of %d replications did not recover"
+                    (List.length
+                       (List.filter (fun o -> not (Vod.Fault.Chaos.verdict_ok o)) outcomes))
+                    (List.length outcomes) ))
+in
   let scenario_arg =
     Arg.(
       required
       & pos 0 (some string) None
       & info [] ~docv:"SCENARIO" ~doc:"Chaos scenario file (see examples/crash_rejoin.scn).")
-  in
-  let chaos_rounds_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "rounds" ] ~docv:"R" ~doc:"Override the scenario's round count.")
-  in
-  let chaos_seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's seed.")
-  in
-  let replications_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "replications" ] ~docv:"N"
-          ~doc:"Independent replications (replication $(i,i) runs at seed + 1000*i).")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"J"
-          ~doc:"Workers for parallel replications; the output is independent of $(docv).")
   in
   let out_arg =
     Arg.(
@@ -939,25 +935,6 @@ let chaos_cmd =
              kpi budgets) to FILE; byte-identical at any --jobs, like the chaos \
              stream.")
   in
-  let obs_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "obs-out" ] ~docv:"FILE"
-          ~doc:
-            "Record an observability trace per replication and write it to FILE \
-             (replication $(i,i) goes to FILE with a .rep$(i,i) suffix when there are \
-             several, so parallel runs never interleave writes); forces sequential \
-             replications.")
-  in
-  let obs_summary_arg =
-    Arg.(
-      value & flag
-      & info [ "obs-summary" ]
-          ~doc:
-            "Record observability traces and print a per-phase timing table per \
-             replication after the verdict stream; forces sequential replications.")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
@@ -966,8 +943,8 @@ let chaos_cmd =
           verdict stream (exit 0 iff every replication recovered).")
     Term.(
       ret
-        (const run $ scenario_arg $ chaos_rounds_arg $ chaos_seed_arg $ replications_arg
-       $ jobs_arg $ out_arg $ slo_out_arg $ obs_out_arg $ obs_summary_arg))
+        (const run $ scenario_arg $ scenario_rounds_arg $ scenario_seed_arg
+       $ replications_arg $ replication_jobs_arg $ out_arg $ slo_out_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -975,155 +952,95 @@ let chaos_cmd =
 
 let serve_cmd =
   let run scn rounds seed arrivals policy queue_cap retry_budget replications jobs out
-      slo_out obs_out obs_summary =
-    if replications < 1 then `Error (false, "need at least 1 replication")
-    else
-      let scenario_res =
-        match scn with
-        | Some path -> Vod.Fault.Scenario.load ~path
-        | None -> Ok Vod.Fault.Scenario.default
-      in
-      match scenario_res with
-      | Error e -> `Error (false, e)
-      | Ok scenario -> (
-          let scenario =
-            match seed with
-            | Some seed -> { scenario with Vod.Fault.Scenario.seed }
-            | None -> scenario
-          in
-          match Vod.Serve.arrivals_of_name arrivals with
-          | Error e -> `Error (false, e)
-          | Ok arrivals -> (
-              match Vod.Serve.shed_policy_of_name policy with
-              | Error e -> `Error (false, e)
-              | Ok shed_policy -> (
-                  match
-                    Vod.Serve.config ?queue_cap ?retry_budget ~shed_policy ()
-                  with
-                  | exception Invalid_argument e -> `Error (false, e)
-                  | config -> (
-                      let obs_on = obs_out <> None || obs_summary in
-                      let obs_traces = ref [] in
-                      let result =
-                        if obs_on then begin
-                          (* per-replication recorder, sequential (see
-                             warn_obs_sequential); seeds follow run_many's
-                             formula so the streams match a plain run *)
-                          warn_obs_sequential jobs;
-                          match Vod.Serve.validate scenario with
-                          | Error _ as err -> err
-                          | Ok () ->
-                              let rec go i acc =
-                                if i = replications then Ok (List.rev acc)
-                                else begin
-                                  Vod.Obs.Registry.reset Vod.Obs.Registry.default;
-                                  let r = Vod.Obs.Span.create_recorder () in
-                                  Vod.Obs.Span.install r;
-                                  let res =
-                                    Vod.Serve.run ?rounds
-                                      ~seed:(scenario.Vod.Fault.Scenario.seed + (1000 * i))
-                                      ~config ~arrivals scenario
-                                  in
-                                  Vod.Obs.Span.uninstall ();
-                                  match res with
-                                  | Error _ as err -> err
-                                  | Ok o ->
-                                      (match obs_out with
-                                      | None -> ()
-                                      | Some base ->
-                                          let p =
-                                            if replications = 1 then base
-                                            else suffixed base (Printf.sprintf ".rep%d" i)
-                                          in
-                                          Vod.Obs.Export.save
-                                            ~registry:Vod.Obs.Registry.default r ~path:p;
-                                          Printf.eprintf
-                                            "observability trace (rep %d) written to %s\n" i
-                                            p);
-                                      if obs_summary then
-                                        obs_traces :=
-                                          ( i,
-                                            Vod.Obs.Report.of_recorder
-                                              ~registry:Vod.Obs.Registry.default r )
-                                          :: !obs_traces;
-                                      go (i + 1) (o :: acc)
-                                end
-                              in
-                              go 0 []
-                        end
-                        else if replications = 1 then
-                          Result.map
-                            (fun o -> [ o ])
-                            (Vod.Serve.run ?rounds ~config ~arrivals scenario)
+      slo_out obs =
+    let scenario_res =
+      match scn with
+      | Some path -> Vod.Fault.Scenario.load ~path
+      | None -> Ok Vod.Fault.Scenario.default
+    in
+    match scenario_res with
+    | Error e -> `Error (false, e)
+    | Ok scenario -> (
+        let scenario =
+          match seed with
+          | Some seed -> { scenario with Vod.Fault.Scenario.seed }
+          | None -> scenario
+        in
+        match Vod.Serve.arrivals_of_name arrivals with
+        | Error e -> `Error (false, e)
+        | Ok arrivals -> (
+            match Vod.Serve.shed_policy_of_name policy with
+            | Error e -> `Error (false, e)
+            | Ok shed_policy -> (
+                match
+                  Vod.Serve.config ?queue_cap ?retry_budget ~shed_policy ()
+                with
+                | exception Invalid_argument e -> `Error (false, e)
+                | config -> (
+                    let result =
+                      replicate obs ~jobs ~rounds ~replications scenario (fun ~seed ->
+                          Vod.Serve.run ?rounds ~seed ~config ~arrivals scenario)
+                    in
+                    match result with
+                    | Error e -> `Error (false, e)
+                    | Ok outcomes ->
+                        (* vod-serve/1, replications concatenated in order:
+                           byte-identical at any --jobs value *)
+                        let jsonl =
+                          String.concat ""
+                            (List.map (fun o -> o.Vod.Serve.jsonl) outcomes)
+                        in
+                        (match out with
+                        | None -> print_string jsonl
+                        | Some path ->
+                            Out_channel.with_open_text path (fun oc ->
+                                Out_channel.output_string oc jsonl);
+                            Printf.eprintf "serve verdict stream written to %s\n" path);
+                        (match slo_out with
+                        | None -> ()
+                        | Some path ->
+                            let slo =
+                              String.concat ""
+                                (List.map (fun o -> o.Vod.Serve.slo_jsonl) outcomes)
+                            in
+                            Out_channel.with_open_text path (fun oc ->
+                                Out_channel.output_string oc slo);
+                            Printf.eprintf "SLO verdict stream written to %s\n" path);
+                        print_summaries obs;
+                        List.iteri
+                          (fun i o ->
+                            let t = o.Vod.Serve.totals in
+                            Printf.eprintf
+                              "rep %d (seed %d): %s; %d arrivals (%d flash), %d \
+                               admitted, %d completed, %d shed, %d rejected, %d \
+                               retries over %d sessions, %d interrupted, %d expired, \
+                               %d helpers drafted, max queue %d, %d degraded rounds, \
+                               unserved %d\n"
+                              i o.Vod.Serve.seed
+                              ((if Vod.Serve.verdict_ok o then "GRACEFUL" else "STALLED")
+                              ^
+                              if Vod.Serve.slo_breached o then " (SLO BREACH)" else "")
+                              t.Vod.Serve.arrivals t.Vod.Serve.flash_arrivals
+                              t.Vod.Serve.admitted t.Vod.Serve.completed t.Vod.Serve.shed
+                              t.Vod.Serve.rejected t.Vod.Serve.retries
+                              t.Vod.Serve.retry_sessions t.Vod.Serve.interrupted
+                              t.Vod.Serve.expired t.Vod.Serve.helpers_drafted
+                              t.Vod.Serve.max_queue t.Vod.Serve.degraded_rounds
+                              t.Vod.Serve.total_unserved)
+                          outcomes;
+                        let bad o =
+                          (not (Vod.Serve.verdict_ok o)) || Vod.Serve.slo_breached o
+                        in
+                        if not (List.exists bad outcomes) then `Ok ()
                         else
-                          Vod.Serve.run_many ?rounds ?jobs ~config ~arrivals ~replications
-                            scenario
-                      in
-                      match result with
-                      | Error e -> `Error (false, e)
-                      | Ok outcomes ->
-                          (* vod-serve/1, replications concatenated in order:
-                             byte-identical at any --jobs value *)
-                          let jsonl =
-                            String.concat ""
-                              (List.map (fun o -> o.Vod.Serve.jsonl) outcomes)
-                          in
-                          (match out with
-                          | None -> print_string jsonl
-                          | Some path ->
-                              Out_channel.with_open_text path (fun oc ->
-                                  Out_channel.output_string oc jsonl);
-                              Printf.eprintf "serve verdict stream written to %s\n" path);
-                          (match slo_out with
-                          | None -> ()
-                          | Some path ->
-                              let slo =
-                                String.concat ""
-                                  (List.map (fun o -> o.Vod.Serve.slo_jsonl) outcomes)
-                              in
-                              Out_channel.with_open_text path (fun oc ->
-                                  Out_channel.output_string oc slo);
-                              Printf.eprintf "SLO verdict stream written to %s\n" path);
-                          List.iter
-                            (fun (i, trace) ->
-                              Printf.printf
-                                "--- observability summary: replication %d ---\n" i;
-                              Vod.Obs.Report.print_summary trace)
-                            (List.rev !obs_traces);
-                          List.iteri
-                            (fun i o ->
-                              let t = o.Vod.Serve.totals in
-                              Printf.eprintf
-                                "rep %d (seed %d): %s; %d arrivals (%d flash), %d \
-                                 admitted, %d completed, %d shed, %d rejected, %d \
-                                 retries over %d sessions, %d interrupted, %d expired, \
-                                 %d helpers drafted, max queue %d, %d degraded rounds, \
-                                 unserved %d\n"
-                                i o.Vod.Serve.seed
-                                ((if Vod.Serve.verdict_ok o then "GRACEFUL" else "STALLED")
-                                ^
-                                if Vod.Serve.slo_breached o then " (SLO BREACH)" else "")
-                                t.Vod.Serve.arrivals t.Vod.Serve.flash_arrivals
-                                t.Vod.Serve.admitted t.Vod.Serve.completed t.Vod.Serve.shed
-                                t.Vod.Serve.rejected t.Vod.Serve.retries
-                                t.Vod.Serve.retry_sessions t.Vod.Serve.interrupted
-                                t.Vod.Serve.expired t.Vod.Serve.helpers_drafted
-                                t.Vod.Serve.max_queue t.Vod.Serve.degraded_rounds
-                                t.Vod.Serve.total_unserved)
-                            outcomes;
-                          let bad o =
-                            (not (Vod.Serve.verdict_ok o)) || Vod.Serve.slo_breached o
-                          in
-                          if not (List.exists bad outcomes) then `Ok ()
-                          else
-                            `Error
-                              ( false,
-                                Printf.sprintf
-                                  "%d of %d replications stalled admitted sessions, \
-                                   blew the retry budget or breached an SLO"
-                                  (List.length (List.filter bad outcomes))
-                                  (List.length outcomes) )))))
-  in
+                          `Error
+                            ( false,
+                              Printf.sprintf
+                                "%d of %d replications stalled admitted sessions, \
+                                 blew the retry budget or breached an SLO"
+                                (List.length (List.filter bad outcomes))
+                                (List.length outcomes) )))))
+in
   let scn_arg =
     Arg.(
       value
@@ -1132,18 +1049,6 @@ let serve_cmd =
           ~doc:
             "Scenario file driving faults, helpers and kpi budgets (default: the \
              built-in crash/rejoin scenario).")
-  in
-  let serve_rounds_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "rounds" ] ~docv:"R" ~doc:"Override the scenario's round count.")
-  in
-  let serve_seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's seed.")
   in
   let arrivals_arg =
     Arg.(
@@ -1174,19 +1079,6 @@ let serve_cmd =
       & info [ "retry-budget" ] ~docv:"N"
           ~doc:"Max retries per session before it is dropped (default 3).")
   in
-  let replications_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "replications" ] ~docv:"N"
-          ~doc:"Independent replications (replication $(i,i) runs at seed + 1000*i).")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"J"
-          ~doc:"Workers for parallel replications; the output is independent of $(docv).")
-  in
   let out_arg =
     Arg.(
       value
@@ -1203,24 +1095,6 @@ let serve_cmd =
             "Write the vod-slo/1 burn-rate stream (stall SLO plus SLOs compiled from \
              the scenario's kpi budgets) to FILE.")
   in
-  let obs_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "obs-out" ] ~docv:"FILE"
-          ~doc:
-            "Record an observability trace per replication and write it to FILE \
-             (.rep$(i,i) suffix when there are several); forces sequential \
-             replications.")
-  in
-  let obs_summary_arg =
-    Arg.(
-      value & flag
-      & info [ "obs-summary" ]
-          ~doc:
-            "Record observability traces and print a per-phase timing table per \
-             replication; forces sequential replications.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -1233,16 +1107,16 @@ let serve_cmd =
           inside its SLOs.")
     Term.(
       ret
-        (const run $ scn_arg $ serve_rounds_arg $ serve_seed_arg $ arrivals_arg
-       $ policy_arg $ queue_cap_arg $ retry_budget_arg $ replications_arg $ jobs_arg
-       $ out_arg $ slo_out_arg $ obs_out_arg $ obs_summary_arg))
+        (const run $ scn_arg $ scenario_rounds_arg $ scenario_seed_arg $ arrivals_arg
+       $ policy_arg $ queue_cap_arg $ retry_budget_arg $ replications_arg
+       $ replication_jobs_arg $ out_arg $ slo_out_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* battery                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let battery_cmd =
-  let run paths configs jobs out obs_out obs_summary =
+  let run paths configs jobs out obs =
     let collect path =
       if Sys.is_directory path then
         Sys.readdir path |> Array.to_list
@@ -1276,39 +1150,20 @@ let battery_cmd =
         match (load_all [] files, parse_configs [] config_names) with
         | Error e, _ | _, Error e -> `Error (false, e)
         | Ok scenarios, Ok configs -> (
-            let obs_on = obs_out <> None || obs_summary in
-            let obs_traces = ref [] in
+            (* one trace per cell; Battery.run goes sequential when a
+               wrapper is present, so trace files never interleave *)
             let wrap_cell =
-              if not obs_on then None
-              else begin
-                (* per-cell recorder; Battery.run goes sequential when a
-                   wrapper is present, so trace files never interleave *)
-                warn_obs_sequential jobs;
+              if not (tracing obs) then None
+              else
                 Some
                   (fun ~scenario ~config thunk ->
-                    Vod.Obs.Registry.reset Vod.Obs.Registry.default;
-                    let r = Vod.Obs.Span.create_recorder () in
-                    Vod.Obs.Span.install r;
-                    let cell = thunk () in
-                    Vod.Obs.Span.uninstall ();
                     let label =
                       Printf.sprintf "%s.%s" scenario.Vod.Fault.Scenario.name
                         config.Vod.Fault.Chaos.label
                     in
-                    (match obs_out with
-                    | None -> ()
-                    | Some base ->
-                        let p = suffixed base ("." ^ label) in
-                        Vod.Obs.Export.save ~registry:Vod.Obs.Registry.default r ~path:p;
-                        Printf.eprintf "observability trace (%s) written to %s\n" label p);
-                    if obs_summary then
-                      obs_traces :=
-                        ( label,
-                          Vod.Obs.Report.of_recorder ~registry:Vod.Obs.Registry.default r )
-                        :: !obs_traces;
-                    cell)
-              end
+                    capture obs ~name:(Some label) ~suffix:("." ^ label) thunk)
             in
+            let jobs = traced_jobs obs jobs in
             match Vod.Battery.Battery.run ?jobs ?wrap_cell ~configs scenarios with
             | Error e -> `Error (false, e)
             | Ok report ->
@@ -1321,11 +1176,7 @@ let battery_cmd =
                     Out_channel.with_open_text path (fun oc ->
                         Out_channel.output_string oc report.Vod.Battery.Battery.jsonl);
                     Printf.eprintf "scorecard written to %s\n" path);
-                List.iter
-                  (fun (label, trace) ->
-                    Printf.printf "--- observability summary: %s ---\n" label;
-                    Vod.Obs.Report.print_summary trace)
-                  (List.rev !obs_traces);
+                print_summaries obs;
                 prerr_string report.Vod.Battery.Battery.table;
                 if Vod.Battery.Battery.ok report then `Ok ()
                 else
@@ -1351,37 +1202,12 @@ let battery_cmd =
             "Comma-separated engine configs forming the matrix columns: $(b,scratch), \
              $(b,sticky), $(b,prefer-cache), $(b,balance-load), $(b,round-robin).")
   in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"J"
-          ~doc:"Workers for parallel cells; the scorecard is byte-identical at any $(docv).")
-  in
   let out_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the vod-scorecard/1 JSONL to FILE instead of stdout.")
-  in
-  let obs_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "obs-out" ] ~docv:"FILE"
-          ~doc:
-            "Record an observability trace per cell and write it to FILE with a \
-             .$(i,scenario).$(i,config) suffix (one file per cell, so nothing \
-             interleaves); forces sequential cells.")
-  in
-  let obs_summary_arg =
-    Arg.(
-      value & flag
-      & info [ "obs-summary" ]
-          ~doc:
-            "Record observability traces and print a per-phase timing table per cell \
-             after the scorecard; forces sequential cells.")
   in
   Cmd.v
     (Cmd.info "battery"
@@ -1391,8 +1217,9 @@ let battery_cmd =
           breaches its declared KPI budgets).")
     Term.(
       ret
-        (const run $ paths_arg $ configs_arg $ jobs_arg $ out_arg $ obs_out_arg
-       $ obs_summary_arg))
+        (const run $ paths_arg $ configs_arg
+       $ jobs_arg "Workers for parallel cells; the scorecard is byte-identical at any $(docv)."
+       $ out_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* obs-report                                                          *)

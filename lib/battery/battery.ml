@@ -1,6 +1,7 @@
 module Scenario = Vod_fault.Scenario
 module Chaos = Vod_fault.Chaos
 module Table = Vod_util.Table
+module Json = Vod_json
 
 type cell = {
   scenario : Scenario.t;
@@ -11,20 +12,6 @@ type cell = {
 }
 
 type report = { cells : cell list; breached : int; jsonl : string; table : string }
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 (* Worst cells first.  Every comparison key is either an exact integer
    or a float computed identically on every platform, and the final
@@ -52,14 +39,14 @@ let to_jsonl ~configs ~n_scenarios ~breached ranked =
   line {|{"type":"meta","version":"vod-scorecard/1","cells":%d,"scenarios":%d,"configs":[%s]}|}
     (List.length ranked) n_scenarios
     (String.concat ","
-       (List.map (fun c -> "\"" ^ json_escape c.Chaos.label ^ "\"") configs));
+       (List.map (fun c -> "\"" ^ Json.escape c.Chaos.label ^ "\"") configs));
   List.iteri
     (fun i c ->
       line {|{"type":"cell","rank":%d,"scenario":"%s","config":"%s",%s,"breaches":[%s],"slo":[%s]}|}
         (i + 1)
-        (json_escape c.scenario.Scenario.name)
-        (json_escape c.config.Chaos.label) (Kpi.to_json c.kpi)
-        (String.concat "," (List.map (fun b -> "\"" ^ json_escape b ^ "\"") c.breaches))
+        (Json.escape c.scenario.Scenario.name)
+        (Json.escape c.config.Chaos.label) (Kpi.to_json c.kpi)
+        (String.concat "," (List.map (fun b -> "\"" ^ Json.escape b ^ "\"") c.breaches))
         (String.concat "," (List.map Vod_obs.Slo.summary_json c.slo)))
     ranked;
   line {|{"type":"summary","cells":%d,"breached":%d,"ok":%b}|} (List.length ranked) breached

@@ -63,13 +63,16 @@ module Fault = Vod_fault
     plans ([Fault.Plan]), scenario files ([Fault.Scenario]), helper
     fleets ([Fault.Helpers]), the bandwidth-aware maintenance
     controller ([Fault.Mend]) and the deterministic chaos runner
-    ([Fault.Chaos]). *)
+    ([Fault.Chaos]), whose bring-up ([Fault.Chaos.boot]) and fault
+    application ([Fault.Chaos.apply_events]) the service mode shares. *)
 
 module Serve = Vod_serve.Serve
 (** The long-running service mode: event-driven admission control,
     bounded-queue backpressure and deadline-aware session recovery
     around the engine ([Serve.run]), driven by continuous arrivals and
-    the scenario's fault plan — the [vodctl serve] runner. *)
+    the scenario's fault plan — the [vodctl serve] runner.  It builds
+    its system and applies faults through [Fault.Chaos], and writes
+    its [vod-slo/1] stream with [Obs.Slo.stream], as chaos does. *)
 
 module Session = Vod_proto.Session
 (** The per-client control-plane state machine the service drives
@@ -85,10 +88,11 @@ module Battery = Vod_battery
 module Obs = Vod_obs
 (** The observability subsystem: metrics registry ([Obs.Registry]),
     span tracing ([Obs.Span]), JSONL export ([Obs.Export]), trace
-    loading/validation/summaries ([Obs.Report]), streaming per-round
-    time series ([Obs.Timeseries]), multi-window SLO burn rates
-    ([Obs.Slo]), collapsed-stack flamegraph folding ([Obs.Flame]) and
-    terminal dashboard primitives ([Obs.Dash]).  Solvers and the
+    loading/validation/summaries ([Obs.Report], on the shared
+    [Vod_json] reader), streaming per-round time series
+    ([Obs.Timeseries]), multi-window SLO burn rates and the [vod-slo/1]
+    stream writer ([Obs.Slo]), collapsed-stack flamegraph folding
+    ([Obs.Flame]) and terminal dashboard primitives ([Obs.Dash]).  Solvers and the
     engine record into [Obs.Registry.default]; span recording is off
     until a recorder is installed with [Obs.Span.install]; the
     streaming side is fed per round through [Telemetry] /

@@ -1,9 +1,11 @@
 open Vod_util
 open Vod_model
 open Vod_analysis
+module Json = Vod_json
 module Engine = Vod_sim.Engine
 module Registry = Vod_obs.Registry
 module Slo = Vod_obs.Slo
+module Telemetry = Vod_sim.Telemetry
 
 let obs_crashes = Registry.counter Registry.default "fault.crashes"
 let obs_rejoins = Registry.counter Registry.default "fault.rejoins"
@@ -70,21 +72,7 @@ type tick = {
   t_slos : Slo.t list;
 }
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* Static validation shared by [run] and [run_many], so worker domains
+(* Static validation shared by [boot] and [replicate], so worker domains
    never have to report errors.  The catalog is sized against the
    {e base} fleet only: helper storage is pure surplus, so a scenario's
    catalog does not silently grow when a fleet is added. *)
@@ -126,6 +114,121 @@ let prepare (s : Scenario.t) =
 let validate s = Result.map (fun _ -> ()) (prepare s)
 
 (* ------------------------------------------------------------------ *)
+(* Bring-up and fault application, shared with Vod_serve               *)
+(* ------------------------------------------------------------------ *)
+
+type system = {
+  engine : Engine.t;
+  plan : Plan.t;
+  mend : Mend.t;
+  crowd_rng : Prng.t;
+  helper_ranges : (int * int) array;
+  n_total : int;
+  m : int;
+  seed : int;
+  rounds : int;
+  mutable flaky : float;
+}
+
+(* [prepare] plus the run's effective round count, which must be >= 0. *)
+let prepare_run ?rounds (s : Scenario.t) =
+  let rounds = Option.value rounds ~default:s.rounds in
+  if rounds < 0 then Error (Printf.sprintf "rounds must be >= 0 (got %d)" rounds)
+  else Result.map (fun built -> (rounds, built)) (prepare s)
+
+let boot ?rounds ?seed ~config (s : Scenario.t) =
+  match prepare_run ?rounds s with
+  | Error _ as err -> err
+  | Ok (rounds, (base, fleet, m, topology, helper_ranges)) ->
+      let n_total = Array.length fleet in
+      let seed = Option.value seed ~default:s.seed in
+      let params = Params.make ~n:n_total ~c:s.c ~mu:s.mu ~duration:s.duration in
+      let catalog = Catalog.create ~m ~c:s.c in
+      let alloc_rng = Prng.create ~seed () in
+      (* allocation over the base fleet, then deterministic helper
+         seeding on top — the base replica lists are untouched *)
+      let base_alloc =
+        match config.scheme with
+        | Permutation ->
+            Vod_alloc.Schemes.random_permutation alloc_rng ~fleet:base ~catalog ~k:s.k
+        | Round_robin -> Vod_alloc.Schemes.round_robin ~fleet:base ~catalog ~k:s.k
+      in
+      let alloc =
+        if s.helpers = [] then base_alloc else Helpers.seed_allocation ~fleet ~c:s.c base_alloc
+      in
+      (* Theorem 2 relays are assigned over the base fleet only (helpers
+         may be offline); when the population is not compensable the run
+         proceeds uncompensated — the paper's negative-result regime. *)
+      let compensation =
+        match s.population with
+        | Scenario.Homogeneous -> None
+        | Scenario.Rich_poor { u_star; _ } ->
+            Option.map (Helpers.extend_compensation ~n:n_total) (Theorem2.compensate base ~u_star)
+      in
+      (* the plan hashes its own seed; workload, controller and crowd
+         draws get independent streams derived from the run seed *)
+      let plan =
+        match Plan.compile ?topology ~helpers:helper_ranges ~seed ~n:n_total s.events with
+        | Ok p -> p
+        | Error msg -> invalid_arg msg (* unreachable: validated by prepare *)
+      in
+      let engine =
+        Engine.create ~params ~fleet ~alloc ?compensation ~policy:Engine.Continue
+          ~scheduler:config.scheduler ?topology ()
+      in
+      Array.iter
+        (fun (start, count) ->
+          for b = start to start + count - 1 do
+            Engine.set_helper engine b true;
+            Engine.set_online engine b false
+          done)
+        helper_ranges;
+      let sys =
+        {
+          engine;
+          plan;
+          mend = Mend.create ~seed:(seed + 101) (Mend.of_scenario s);
+          crowd_rng = Prng.create ~seed:(seed + 13) ();
+          helper_ranges;
+          n_total;
+          m;
+          seed;
+          rounds;
+          flaky = 0.0;
+        }
+      in
+      Engine.set_link_faults engine
+        (Some
+           (fun ~time ~owner ~server -> Plan.link_fault plan ~prob:sys.flaky ~time ~owner ~server));
+      Ok sys
+
+let apply_events sys ~time ~flash =
+  let engine = sys.engine in
+  List.iter
+    (function
+      | Plan.Crash b ->
+          if Engine.is_online engine b then begin
+            Engine.set_online engine b false;
+            Registry.incr obs_crashes
+          end
+      | Plan.Rejoin b ->
+          if not (Engine.is_online engine b) then begin
+            Engine.set_online engine b true;
+            Registry.incr obs_rejoins
+          end
+      | Plan.Degrade (b, f) ->
+          Engine.set_upload_factor engine ~box:b ~factor:f;
+          Registry.incr obs_degradations
+      | Plan.Restore b -> Engine.set_upload_factor engine ~box:b ~factor:1.0
+      | Plan.Flaky p -> sys.flaky <- p
+      | Plan.Flash_crowd (video, viewers) -> flash ~video ~viewers
+      | Plan.Group_crash _ | Plan.Group_rejoin _ | Plan.Group_degrade _ | Plan.Group_restore _
+      | Plan.Helper_join _ | Plan.Helper_leave _ ->
+          (* Plan.compile expanded these *)
+          assert false)
+    (Plan.events_at sys.plan time)
+
+(* ------------------------------------------------------------------ *)
 (* KPI budgets as SLOs                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -147,168 +250,56 @@ let validate s = Result.map (fun _ -> ()) (prepare s)
    any bad event is an instant breach — and is likewise left to the
    end-of-run KPI check. *)
 
-type slo_metric = Rejection | Startup_over of float | Sourcing
+let budget_slo name target metric =
+  if target > 0.0 && target <= 1.0 then [ (Slo.spec ~name ~target (), metric) ] else []
 
 let compiled_slos (s : Scenario.t) =
   let kpi = s.Scenario.kpi in
-  let specs = ref [] in
-  let add name target metric =
-    if target > 0.0 && target <= 1.0 then specs := (Slo.spec ~name ~target (), metric) :: !specs
-  in
-  (match kpi.Scenario.max_sourcing_share with Some sh -> add "sourcing" sh Sourcing | None -> ());
-  (match kpi.Scenario.max_startup_p95 with
-  | Some l -> add "startup" 0.05 (Startup_over l)
-  | None -> ());
-  (match kpi.Scenario.max_rejection with Some r -> add "rejection" r Rejection | None -> ());
-  !specs
+  let budget field f = match field with Some v -> f v | None -> [] in
+  budget kpi.Scenario.max_rejection (fun r -> budget_slo "rejection" r Telemetry.rejection)
+  @ budget kpi.Scenario.max_startup_p95 (fun l ->
+        budget_slo "startup" 0.05 (Telemetry.startup_tail ~limit:l))
+  @ budget kpi.Scenario.max_sourcing_share (fun sh ->
+        budget_slo "sourcing" sh Telemetry.sourcing)
 
 let run ?rounds ?seed ?(config = default_config) ?on_round (s : Scenario.t) =
-  match prepare s with
+  match boot ?rounds ?seed ~config s with
   | Error _ as err -> err
-  | Ok (base, fleet, m, topology, helper_ranges) ->
-      let n_total = Array.length fleet in
-      let rounds = Option.value rounds ~default:s.rounds in
-      let seed = Option.value seed ~default:s.seed in
-      let params = Params.make ~n:n_total ~c:s.c ~mu:s.mu ~duration:s.duration in
-      let catalog = Catalog.create ~m ~c:s.c in
-      let alloc_rng = Prng.create ~seed () in
-      (* allocation over the base fleet, then deterministic helper
-         seeding on top — the base replica lists are untouched *)
-      let base_alloc =
-        match config.scheme with
-        | Permutation -> Vod_alloc.Schemes.random_permutation alloc_rng ~fleet:base ~catalog ~k:s.k
-        | Round_robin -> Vod_alloc.Schemes.round_robin ~fleet:base ~catalog ~k:s.k
-      in
-      let alloc =
-        if s.helpers = [] then base_alloc else Helpers.seed_allocation ~fleet ~c:s.c base_alloc
-      in
-      (* Theorem 2 relays are assigned over the base fleet only (helpers
-         may be offline); when the population is not compensable the run
-         proceeds uncompensated — the paper's negative-result regime. *)
-      let compensation =
-        match s.population with
-        | Scenario.Homogeneous -> None
-        | Scenario.Rich_poor { u_star; _ } ->
-            Option.map (Helpers.extend_compensation ~n:n_total) (Theorem2.compensate base ~u_star)
-      in
-      (* the plan hashes its own seed; workload, controller and crowd
-         draws get independent streams derived from the run seed *)
-      let plan =
-        match
-          Plan.compile ?topology ~helpers:helper_ranges ~seed ~n:n_total s.events
-        with
-        | Ok p -> p
-        | Error msg -> invalid_arg msg (* unreachable: validated above *)
-      in
-      let engine =
-        Engine.create ~params ~fleet ~alloc ?compensation ~policy:Engine.Continue
-          ~scheduler:config.scheduler ?topology ()
-      in
-      Array.iter
-        (fun (start, count) ->
-          for b = start to start + count - 1 do
-            Engine.set_helper engine b true;
-            Engine.set_online engine b false
-          done)
-        helper_ranges;
-      let mend = Mend.create ~seed:(seed + 101) (Mend.of_scenario s) in
+  | Ok sys ->
+      let { engine; plan; mend; n_total; m; seed; rounds; _ } = sys in
       let workload =
         if s.rate > 0.0 then
           Vod_workload.Generators.uniform_arrivals (Prng.create ~seed:(seed + 7) ()) ~rate:s.rate
         else Vod_workload.Generators.nothing
       in
-      let crowd_rng = Prng.create ~seed:(seed + 13) () in
-      let flaky = ref 0.0 in
-      Engine.set_link_faults engine
-        (Some (fun ~time ~owner ~server -> Plan.link_fault plan ~prob:!flaky ~time ~owner ~server));
       let buf = Buffer.create (rounds * 96) in
       let line fmt = Printf.ksprintf (fun str -> Buffer.add_string buf (str ^ "\n")) fmt in
       line
         {|{"type":"meta","version":"vod-chaos/1","scenario":"%s","config":"%s","seed":%d,"rounds":%d,"n":%d,"m":%d,"c":%d,"k":%d,"target_k":%d,"budget":%d,"transfer_rounds":%d}|}
-        (json_escape s.name) (json_escape config.label) seed rounds n_total m s.c s.k s.target_k
+        (Json.escape s.name) (Json.escape config.label) seed rounds n_total m s.c s.k s.target_k
         s.budget s.transfer_rounds;
       (* The vod-slo/1 stream shares the chaos determinism contract: it
          is built from engine reports only, with round-indexed windows
          and fixed-point floats, so it is byte-identical at any --jobs. *)
-      let slos = List.map (fun (spec, metric) -> (Slo.create spec, metric)) (compiled_slos s) in
-      let slo_buf = Buffer.create 512 in
-      let slo_line str = Buffer.add_string slo_buf (str ^ "\n") in
-      slo_line
-        (Printf.sprintf
-           {|{"type":"meta","version":"vod-slo/1","scenario":"%s","config":"%s","seed":%d,"rounds":%d,"slos":[%s]}|}
-           (json_escape s.name) (json_escape config.label) seed rounds
-           (String.concat "," (List.map (fun (ev, _) -> Slo.spec_json (Slo.spec_of ev)) slos)));
-      let slo_states = ref [] in
-      let startups_seen = ref 0 in
-      let observe_slos (report : Engine.round_report) engine =
-        let startup_count = Engine.startup_count engine in
-        List.iter
-          (fun (ev, metric) ->
-            let bad, total =
-              match metric with
-              | Rejection -> (report.Engine.unserved, report.Engine.served + report.Engine.unserved)
-              | Sourcing ->
-                  (report.Engine.served - report.Engine.served_from_cache, report.Engine.served)
-              | Startup_over limit ->
-                  let bad = ref 0 in
-                  for i = !startups_seen to startup_count - 1 do
-                    if float_of_int (Engine.startup_delay engine i) > limit then incr bad
-                  done;
-                  (!bad, startup_count - !startups_seen)
-            in
-            Slo.observe ev ~bad ~total)
-          slos;
-        startups_seen := startup_count;
-        (* verdict lines on state transitions (and the first round) *)
-        let states = List.map (fun (ev, _) -> Slo.state ev) slos in
-        (match !slo_states with
-        | [] -> List.iter (fun (ev, _) -> slo_line (Slo.verdict_json ev ~round:report.Engine.time)) slos
-        | prev ->
-            List.iteri
-              (fun i (ev, _) ->
-                if List.nth prev i <> List.nth states i then
-                  slo_line (Slo.verdict_json ev ~round:report.Engine.time))
-              slos);
-        slo_states := states
+      let slo =
+        Slo.stream ~scenario:s.name ~config:config.label ~seed ~rounds (compiled_slos s)
       in
       let reports = ref [] in
       let full_replication_round = ref (-1) in
       let min_online = ref n_total in
       let total_unserved = ref 0 and total_faulted = ref 0 in
-      let apply_event time = function
-        | Plan.Crash b ->
-            if Engine.is_online engine b then begin
-              Engine.set_online engine b false;
-              Registry.incr obs_crashes
-            end
-        | Plan.Rejoin b ->
-            if not (Engine.is_online engine b) then begin
-              Engine.set_online engine b true;
-              Registry.incr obs_rejoins
-            end
-        | Plan.Degrade (b, f) ->
-            Engine.set_upload_factor engine ~box:b ~factor:f;
-            Registry.incr obs_degradations
-        | Plan.Restore b -> Engine.set_upload_factor engine ~box:b ~factor:1.0
-        | Plan.Flaky p -> flaky := p
-        | Plan.Flash_crowd (video, viewers) ->
-            let idle = Array.of_list (Engine.idle_boxes engine) in
-            Sample.shuffle crowd_rng idle;
-            let take = min viewers (Array.length idle) in
-            for i = 0 to take - 1 do
-              match Engine.try_demand engine ~box:idle.(i) ~video with
-              | Engine.Admitted -> Registry.incr obs_flash_demands
-              | admit -> count_admit admit
-            done;
-            ignore time
-        | Plan.Group_crash _ | Plan.Group_rejoin _ | Plan.Group_degrade _ | Plan.Group_restore _
-        | Plan.Helper_join _ | Plan.Helper_leave _ ->
-            (* Plan.compile expanded these *)
-            assert false
+      let flash ~video ~viewers =
+        let idle = Array.of_list (Engine.idle_boxes engine) in
+        Sample.shuffle sys.crowd_rng idle;
+        for i = 0 to min viewers (Array.length idle) - 1 do
+          match Engine.try_demand engine ~box:idle.(i) ~video with
+          | Engine.Admitted -> Registry.incr obs_flash_demands
+          | admit -> count_admit admit
+        done
       in
       for _ = 1 to rounds do
         let time = Engine.now engine + 1 in
-        List.iter (apply_event time) (Plan.events_at plan time);
+        apply_events sys ~time ~flash;
         List.iter
           (fun (box, video) -> count_admit (Engine.try_demand engine ~box ~video))
           (workload engine time);
@@ -335,7 +326,7 @@ let run ?rounds ?seed ?(config = default_config) ?on_round (s : Scenario.t) =
           (List.length unrepairable)
           (Engine.repair_in_flight engine)
           installs;
-        observe_slos report engine;
+        Slo.stream_round slo ~round:report.Engine.time engine report;
         match on_round with
         | None -> ()
         | Some f ->
@@ -346,7 +337,7 @@ let run ?rounds ?seed ?(config = default_config) ?on_round (s : Scenario.t) =
                 t_unrepairable = List.length unrepairable;
                 t_in_flight = Engine.repair_in_flight engine;
                 t_installs = installs;
-                t_slos = List.map fst slos;
+                t_slos = Slo.stream_evaluators slo;
               }
       done;
       let stats = Mend.stats mend in
@@ -365,8 +356,7 @@ let run ?rounds ?seed ?(config = default_config) ?on_round (s : Scenario.t) =
         recovered !full_replication_round ttf stats.Mend.started stats.Mend.completed
         stats.Mend.aborted stats.Mend.retries stats.Mend.installed unrepairable !total_unserved
         !total_faulted !min_online rounds;
-      let slo_summaries = List.map (fun (ev, _) -> Slo.summary ev) slos in
-      List.iter (fun su -> slo_line (Slo.summary_line su)) slo_summaries;
+      let slo_summaries, slo_jsonl = Slo.stream_finish slo in
       Ok
         {
           scenario = s;
@@ -383,23 +373,28 @@ let run ?rounds ?seed ?(config = default_config) ?on_round (s : Scenario.t) =
           startup_delays = Engine.startup_delays engine;
           jsonl = Buffer.contents buf;
           slo = slo_summaries;
-          slo_jsonl = Buffer.contents slo_buf;
+          slo_jsonl;
         }
 
-let run_many ?rounds ?jobs ?config ~replications (s : Scenario.t) =
+let replication_seed (s : Scenario.t) i = s.seed + (1000 * i)
+
+(* Validates once up front so worker domains never have to report
+   errors: [run] can then only fail on what [validate] rejects. *)
+let replicate ~jobs ~rounds ~replications (s : Scenario.t) run =
   if replications < 1 then Error "replications must be >= 1"
   else
-    match validate s with
+    match prepare_run ?rounds s with
     | Error _ as err -> err
-    | Ok () ->
-        let outcomes =
-          Vod_par.Par.map ?jobs
-            ~f:(fun rep ->
-              match run ?rounds ~seed:(s.seed + (1000 * rep)) ?config s with
-              | Ok o -> o
-              | Error msg -> failwith msg (* unreachable: validated above *))
-            replications
+    | Ok _ ->
+        let outcome i =
+          match run i with
+          | Ok o -> o
+          | Error msg -> failwith msg (* unreachable: validated above *)
         in
-        Ok (Array.to_list outcomes)
+        Ok (Array.to_list (Vod_par.Par.map ?jobs ~f:outcome replications))
+
+let run_many ?rounds ?jobs ?config ~replications (s : Scenario.t) =
+  replicate ~jobs ~rounds ~replications s (fun i ->
+      run ?rounds ~seed:(replication_seed s i) ?config s)
 
 let verdict_ok o = o.recovered

@@ -31,6 +31,24 @@ val config_of_name : string -> (engine_config, string) result
 (** Named configs: [scratch], [sticky], [prefer-cache], [balance-load],
     [round-robin]. *)
 
+(** {1 The running system}
+
+    One bring-up for both scenario runners, this one and the service
+    layer ({!Vod_serve}). *)
+
+type system = {
+  engine : Vod_sim.Engine.t;
+  plan : Plan.t;
+  mend : Mend.t;  (** Seeded at [seed + 101]. *)
+  crowd_rng : Vod_util.Prng.t;  (** Flash-crowd draws, seeded at [seed + 13]. *)
+  helper_ranges : (int * int) array;  (** [(first box, count)] per helper fleet. *)
+  n_total : int;  (** Base boxes plus helper boxes. *)
+  m : int;  (** Catalog size. *)
+  seed : int;  (** The run seed; runners derive their own streams from it. *)
+  rounds : int;
+  mutable flaky : float;  (** Link-fault probability, set by [flaky] events. *)
+}
+
 type outcome = {
   scenario : Scenario.t;
   seed : int;  (** The seed this replication actually ran with. *)
@@ -88,9 +106,33 @@ val prepare :
     * (int * int) array,
     string )
   result
-(** The validated system build behind {!validate}, shared with the
-    service layer ({!Vod_serve}): [(base fleet, full fleet with helper
-    boxes appended, catalog size, topology, helper ranges)]. *)
+(** The validated system build behind {!validate}: [(base fleet, full
+    fleet with helper boxes appended, catalog size, topology, helper
+    ranges)]. *)
+
+val boot :
+  ?rounds:int -> ?seed:int -> config:engine_config -> Scenario.t -> (system, string) result
+(** Build the system a scenario describes ([rounds]/[seed] override the
+    scenario's): [config]'s allocation over the base fleet, helper
+    seeding, Theorem 2 compensation for a compensable rich/poor
+    population, the compiled fault plan, the engine (helpers marked and
+    offline), the repair controller, the crowd PRNG and the link-fault
+    predicate reading [flaky].  [Error] on an invalid scenario (see
+    {!validate}) or [rounds < 0]. *)
+
+val apply_events :
+  system -> time:int -> flash:(video:int -> viewers:int -> unit) -> unit
+(** Apply the plan's events at [time]: crashes, rejoins, degradations,
+    restores and link-fault changes act on the engine (and count in the
+    [fault.*] registry counters); a flash crowd is handed to [flash],
+    since each runner admits crowds its own way. *)
+
+val budget_slo : string -> float -> 'm -> (Vod_obs.Slo.spec * 'm) list
+(** [budget_slo name target metric] is the burn-rate SLO [name] at
+    [target] on the default 100/1000-round windows, paired with its
+    per-round metric — or nothing when [target] is outside (0, 1]: a
+    budget of 0 has no meaningful burn rate and stays an end-of-run KPI
+    check.  The compilation rule of both runners' SLO sets. *)
 
 val run :
   ?rounds:int ->
@@ -132,11 +174,25 @@ val run_many :
   replications:int ->
   Scenario.t ->
   (outcome list, string) result
-(** [replications] independent runs (replication [i] uses seed
-    [scenario.seed + 1000 * i]) fanned out over [jobs] workers with
-    {!Vod_par.Par.map}; outcomes are in replication order regardless of
-    scheduling.  Validates once up front so [Error] is returned, not
-    raised, from workers. *)
+(** [replications] independent runs (see {!replication_seed}) through
+    {!replicate}. *)
+
+val replication_seed : Scenario.t -> int -> int
+(** Replication [i] runs at seed [scenario.seed + 1000 * i]. *)
+
+val replicate :
+  jobs:int option ->
+  rounds:int option ->
+  replications:int ->
+  Scenario.t ->
+  (int -> ('a, string) result) ->
+  ('a list, string) result
+(** [replicate ~jobs ~rounds ~replications s run] runs [run i] for every
+    replication [i] over [jobs] workers with {!Vod_par.Par.map}; results
+    are in replication order regardless of scheduling.  It validates
+    the scenario, [replications >= 1] and the effective round count
+    ([rounds], else the scenario's) [>= 0] once up front, so [Error] is
+    returned, not raised from workers. *)
 
 val verdict_ok : outcome -> bool
 (** The run's pass criterion: full target replication was restored

@@ -11,21 +11,9 @@
    find the aggregate counters at the end.  The format is validated and
    summarised by {!Report} (and `vodctl obs-report`). *)
 
-let schema = "vod-obs/1"
+module Json = Vod_json
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let schema = "vod-obs/1"
 
 (* [dropped_spans] (not the older [dropped]) so ring eviction is named
    for what it is; Report accepts both keys when parsing. *)
@@ -36,21 +24,21 @@ let meta_line ~events ~dropped =
 let span_line (e : Span.event) =
   let attrs =
     String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)) e.Span.attrs)
+      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)) e.Span.attrs)
   in
   Printf.sprintf
     "{\"type\":\"span\",\"id\":%d,\"parent\":%d,\"name\":\"%s\",\"start_ns\":%d,\"stop_ns\":%d,\"attrs\":{%s}}"
-    e.Span.id e.Span.parent (escape e.Span.name) e.Span.start_ns e.Span.stop_ns attrs
+    e.Span.id e.Span.parent (Json.escape e.Span.name) e.Span.start_ns e.Span.stop_ns attrs
 
 let counter_line name value =
-  Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}" (escape name) value
+  Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}" (Json.escape name) value
 
 let gauge_line name value =
-  Printf.sprintf "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%d}" (escape name) value
+  Printf.sprintf "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%d}" (Json.escape name) value
 
 let hist_line name (h : Registry.hist_snapshot) =
   Printf.sprintf "{\"type\":\"hist\",\"name\":\"%s\",\"count\":%d,\"sum\":%d,\"buckets\":[%s]}"
-    (escape name) h.Registry.count h.Registry.sum
+    (Json.escape name) h.Registry.count h.Registry.sum
     (String.concat "," (List.map (fun (e, c) -> Printf.sprintf "[%d,%d]" e c) h.Registry.buckets))
 
 let to_jsonl ?registry recorder =

@@ -138,13 +138,51 @@ let spec_json sp =
   Printf.sprintf "{\"name\":\"%s\",\"target\":%.4f,\"fast\":%d,\"slow\":%d,\"breach_burn\":%.4f}"
     sp.sp_name sp.sp_target sp.sp_fast sp.sp_slow sp.sp_breach_burn
 
-let meta_json specs =
-  Printf.sprintf "{\"type\":\"meta\",\"version\":\"vod-slo/1\",\"slos\":[%s]}"
-    (String.concat "," (List.map spec_json specs))
-
 let verdict_json t ~round =
   Printf.sprintf
     "{\"type\":\"slo\",\"t\":%d,\"name\":\"%s\",\"state\":\"%s\",\"window\":\"%s\",\"fast_burn\":%.4f,\"slow_burn\":%.4f}"
     round t.t_spec.sp_name
     (state_name (state t))
     (burning_window t) (window_burn t t.fast) (window_burn t t.slow)
+
+(* The vod-slo/1 writer.  [prev] holds the states after the previous
+   round, [None] before the first, so the first round writes a verdict
+   line for every spec and later rounds only for changed ones. *)
+type ('e, 'r) stream = {
+  evals : (t * ('e -> 'r -> int * int)) list;
+  buf : Buffer.t;
+  mutable prev : state list option;
+}
+
+let stream ~scenario ~config ~seed ~rounds slos =
+  let evals = List.map (fun (sp, metric) -> (create sp, metric)) slos in
+  let buf = Buffer.create 512 in
+  Printf.bprintf buf
+    "{\"type\":\"meta\",\"version\":\"vod-slo/1\",\"scenario\":\"%s\",\"config\":\"%s\",\"seed\":%d,\"rounds\":%d,\"slos\":[%s]}\n"
+    (Vod_json.escape scenario) (Vod_json.escape config) seed rounds
+    (String.concat "," (List.map (fun (sp, _) -> spec_json sp) slos));
+  { evals; buf; prev = None }
+
+let stream_round st ~round env report =
+  List.iter
+    (fun (ev, metric) ->
+      let bad, total = metric env report in
+      observe ev ~bad ~total)
+    st.evals;
+  let states = List.map (fun (ev, _) -> state ev) st.evals in
+  let changed =
+    match st.prev with
+    | None -> List.map (fun _ -> true) states
+    | Some prev -> List.map2 ( <> ) prev states
+  in
+  List.iter2
+    (fun (ev, _) c -> if c then Printf.bprintf st.buf "%s\n" (verdict_json ev ~round))
+    st.evals changed;
+  st.prev <- Some states
+
+let stream_evaluators st = List.map fst st.evals
+
+let stream_finish st =
+  let summaries = List.map (fun (ev, _) -> summary ev) st.evals in
+  List.iter (fun su -> Printf.bprintf st.buf "%s\n" (summary_line su)) summaries;
+  (summaries, Buffer.contents st.buf)

@@ -84,22 +84,38 @@ val summary_json : summary -> string
 
 (** {1 vod-slo/1 stream}
 
-    Line builders for the verdict stream (no trailing newlines).  The
-    emitter — {!Vod_fault.Chaos} — writes the meta line, then a verdict
-    line for round 0 and for every round whose state differs from the
-    previous round's, then one summary line per spec. *)
-
-val spec_json : spec -> string
-(** One spec as a JSON object (name, target, windows, threshold). *)
-
-val meta_json : spec list -> string
-(** [{"type":"meta","version":"vod-slo/1","slos":[...]}] with each
-    spec's name, target and windows.  Emitters needing run context
-    (scenario, seed) build their own meta line from {!spec_json}. *)
+    The one writer of the verdict stream, for the chaos and service
+    runners: a meta line, verdict lines, then one [slo-summary] line
+    per spec. *)
 
 val verdict_json : t -> round:int -> string
-(** [{"type":"slo","t":R,"name":N,"state":S,"window":W,
+(** One verdict line (no trailing newline):
+    [{"type":"slo","t":R,"name":N,"state":S,"window":W,
       "fast_burn":F,"slow_burn":F}]. *)
 
-val summary_line : summary -> string
-(** [{"type":"slo-summary", ...}] wrapping {!summary_json}'s fields. *)
+type ('e, 'r) stream
+(** A [vod-slo/1] writer over evaluators fed by per-round metrics of
+    type ['e -> 'r -> int * int] (bad, total) — in the runners, the
+    engine and its round report ({!Vod_sim.Telemetry}'s metrics). *)
+
+val stream :
+  scenario:string ->
+  config:string ->
+  seed:int ->
+  rounds:int ->
+  (spec * ('e -> 'r -> int * int)) list ->
+  ('e, 'r) stream
+(** Start a stream with its meta line: scenario, config label, seed,
+    rounds and the specs, in list order. *)
+
+val stream_round : ('e, 'r) stream -> round:int -> 'e -> 'r -> unit
+(** Feed one round to every evaluator, then write a verdict line for
+    each spec on the first round and, later, for each spec whose state
+    changed. *)
+
+val stream_evaluators : ('e, 'r) stream -> t list
+(** The live evaluators, in spec order. *)
+
+val stream_finish : ('e, 'r) stream -> summary list * string
+(** Append one [slo-summary] line per spec; return the summaries and
+    the whole stream. *)

@@ -2,14 +2,14 @@ open Vod_util
 open Vod_model
 module Engine = Vod_sim.Engine
 module Scenario = Vod_fault.Scenario
-module Plan = Vod_fault.Plan
 module Chaos = Vod_fault.Chaos
 module Mend = Vod_fault.Mend
 module Session = Vod_proto.Session
 module Generators = Vod_workload.Generators
 module Registry = Vod_obs.Registry
 module Slo = Vod_obs.Slo
-module Timeseries = Vod_obs.Timeseries
+module Telemetry = Vod_sim.Telemetry
+module Json = Vod_json
 
 let obs_arrivals = Registry.counter Registry.default "serve.arrivals"
 let obs_admitted = Registry.counter Registry.default "serve.admitted"
@@ -163,20 +163,6 @@ type outcome = {
 
 let validate = Chaos.validate
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* ------------------------------------------------------------------ *)
 (* KPI budgets as SLOs                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -187,20 +173,13 @@ let json_escape s =
    that drop a session, and [max-startup-p95] keeps the chaos startup
    tail semantics. *)
 
-type slo_metric = Stall | Admission | Startup_over of float
-
-let compiled_slos (s : Scenario.t) =
+let compiled_slos (s : Scenario.t) ~admission =
   let kpi = s.Scenario.kpi in
-  let specs = ref [] in
-  let add name target metric =
-    if target > 0.0 && target <= 1.0 then specs := (Slo.spec ~name ~target (), metric) :: !specs
-  in
-  (match kpi.Scenario.max_startup_p95 with
-  | Some l -> add "startup" 0.05 (Startup_over l)
-  | None -> ());
-  (match kpi.Scenario.max_rejection with Some r -> add "admission" r Admission | None -> ());
-  add "stall" 0.01 Stall;
-  !specs
+  let budget field f = match field with Some v -> f v | None -> [] in
+  Chaos.budget_slo "stall" 0.01 Telemetry.rejection
+  @ budget kpi.Scenario.max_rejection (fun r -> Chaos.budget_slo "admission" r admission)
+  @ budget kpi.Scenario.max_startup_p95 (fun l ->
+        Chaos.budget_slo "startup" 0.05 (Telemetry.startup_tail ~limit:l))
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
@@ -221,45 +200,11 @@ let is_live s = s.state = Session.Admitted || s.state = Session.Streaming
 
 let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
     (s : Scenario.t) =
-  match Chaos.prepare s with
+  match Chaos.boot ?rounds ?seed ~config:Chaos.default_config s with
   | Error _ as err -> err
-  | Ok (base, fleet, m, topology, helper_ranges) ->
+  | Ok sys ->
       let cfg = config in
-      let n_total = Array.length fleet in
-      let rounds = Option.value rounds ~default:s.rounds in
-      let seed = Option.value seed ~default:s.seed in
-      let params = Params.make ~n:n_total ~c:s.c ~mu:s.mu ~duration:s.duration in
-      let catalog = Catalog.create ~m ~c:s.c in
-      let alloc_rng = Prng.create ~seed () in
-      let base_alloc = Vod_alloc.Schemes.random_permutation alloc_rng ~fleet:base ~catalog ~k:s.k in
-      let alloc =
-        if s.helpers = [] then base_alloc
-        else Vod_fault.Helpers.seed_allocation ~fleet ~c:s.c base_alloc
-      in
-      let compensation =
-        match s.population with
-        | Scenario.Homogeneous -> None
-        | Scenario.Rich_poor { u_star; _ } ->
-            Option.map
-              (Vod_fault.Helpers.extend_compensation ~n:n_total)
-              (Vod_analysis.Theorem2.compensate base ~u_star)
-      in
-      let plan =
-        match Plan.compile ?topology ~helpers:helper_ranges ~seed ~n:n_total s.events with
-        | Ok p -> p
-        | Error msg -> invalid_arg msg (* unreachable: validated by prepare *)
-      in
-      let engine =
-        Engine.create ~params ~fleet ~alloc ?compensation ~policy:Engine.Continue ?topology ()
-      in
-      Array.iter
-        (fun (start, count) ->
-          for b = start to start + count - 1 do
-            Engine.set_helper engine b true;
-            Engine.set_online engine b false
-          done)
-        helper_ranges;
-      let mend = Mend.create ~seed:(seed + 101) (Mend.of_scenario s) in
+      let { Chaos.engine; mend; helper_ranges; n_total; m; seed; rounds; _ } = sys in
       let backoff =
         Backoff.create ~seed:(seed + 29) ~policy:Backoff.Decorrelated_jitter
           ~budget:cfg.retry_budget ~base:cfg.backoff_base ~cap:cfg.backoff_cap ()
@@ -279,10 +224,6 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             else Generators.nothing
         | Trace script -> Generators.replay script
       in
-      let crowd_rng = Prng.create ~seed:(seed + 13) () in
-      let flaky = ref 0.0 in
-      Engine.set_link_faults engine
-        (Some (fun ~time ~owner ~server -> Plan.link_fault plan ~prob:!flaky ~time ~owner ~server));
       (* capacity model: online upload slots, a reserve for repair
          traffic plus the configured safety margin, and a projected cost
          of c slots per live session *)
@@ -374,60 +315,20 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
       and r_interrupted = ref 0
       and r_expired = ref 0
       and r_completed = ref 0 in
-      let series = Timeseries.create () in
-      let ts_queue = Timeseries.series series "serve.queue"
-      and ts_live = Timeseries.series series "serve.live"
-      and ts_tokens = Timeseries.series series "serve.tokens"
-      and ts_headroom = Timeseries.series series "serve.headroom" in
       let buf = Buffer.create (rounds * 128) in
       let line fmt = Printf.ksprintf (fun str -> Buffer.add_string buf (str ^ "\n")) fmt in
-      let slos = List.map (fun (spec, metric) -> (Slo.create spec, metric)) (compiled_slos s) in
-      let slo_buf = Buffer.create 512 in
-      let slo_line str = Buffer.add_string slo_buf (str ^ "\n") in
       line
         {|{"type":"meta","version":"vod-serve/1","scenario":"%s","arrivals":"%s","seed":%d,"rounds":%d,"n":%d,"m":%d,"c":%d,"k":%d,"queue_cap":%d,"tokens_per_round":%d,"token_burst":%d,"retry_budget":%d,"backoff_base":%d,"backoff_cap":%d,"shed_policy":"%s","slots":%d,"reserve":%d,"capacity_sessions":%d,"nu":%s}|}
-        (json_escape s.name)
-        (json_escape (arrivals_label arrivals))
+        (Json.escape s.name)
+        (Json.escape (arrivals_label arrivals))
         seed rounds n_total m c s.k cfg.queue_cap tokens_per_round token_burst
         cfg.retry_budget cfg.backoff_base cfg.backoff_cap
         (shed_policy_name cfg.shed_policy)
         slots0 (reserve slots0) capacity_sessions
         (match nu with Some v -> Printf.sprintf "%.4f" v | None -> "null");
-      slo_line
-        (Printf.sprintf
-           {|{"type":"meta","version":"vod-slo/1","scenario":"%s","config":"serve","seed":%d,"rounds":%d,"slos":[%s]}|}
-           (json_escape s.name) seed rounds
-           (String.concat "," (List.map (fun (ev, _) -> Slo.spec_json (Slo.spec_of ev)) slos)));
-      let slo_states = ref [] in
-      let startups_seen = ref 0 in
-      let observe_slos (report : Engine.round_report) =
-        let startup_count = Engine.startup_count engine in
-        List.iter
-          (fun (ev, metric) ->
-            let bad, total =
-              match metric with
-              | Stall -> (report.Engine.unserved, report.Engine.served + report.Engine.unserved)
-              | Admission -> (!r_shed + !r_rejected, !r_admitted + !r_shed + !r_rejected)
-              | Startup_over limit ->
-                  let bad = ref 0 in
-                  for i = !startups_seen to startup_count - 1 do
-                    if float_of_int (Engine.startup_delay engine i) > limit then incr bad
-                  done;
-                  (!bad, startup_count - !startups_seen)
-            in
-            Slo.observe ev ~bad ~total)
-          slos;
-        startups_seen := startup_count;
-        let states = List.map (fun (ev, _) -> Slo.state ev) slos in
-        (match !slo_states with
-        | [] -> List.iter (fun (ev, _) -> slo_line (Slo.verdict_json ev ~round:report.Engine.time)) slos
-        | prev ->
-            List.iteri
-              (fun i (ev, _) ->
-                if List.nth prev i <> List.nth states i then
-                  slo_line (Slo.verdict_json ev ~round:report.Engine.time))
-              slos);
-        slo_states := states
+      let admission _ _ = (!r_shed + !r_rejected, !r_admitted + !r_shed + !r_rejected) in
+      let slo =
+        Slo.stream ~scenario:s.name ~config:"serve" ~seed ~rounds (compiled_slos s ~admission)
       in
       (* ------------------------------------------------------------ *)
       (* session plumbing                                              *)
@@ -521,30 +422,20 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         Registry.incr obs_arrivals;
         enqueue sess
       in
-      let apply_event time = function
-        | Plan.Crash b -> if Engine.is_online engine b then Engine.set_online engine b false
-        | Plan.Rejoin b -> if not (Engine.is_online engine b) then Engine.set_online engine b true
-        | Plan.Degrade (b, f) -> Engine.set_upload_factor engine ~box:b ~factor:f
-        | Plan.Restore b -> Engine.set_upload_factor engine ~box:b ~factor:1.0
-        | Plan.Flaky p -> flaky := p
-        | Plan.Flash_crowd (video, viewers) ->
-            (* a flash crowd arrives as admission events, not as direct
-               engine demands: every extra viewer queues like anyone
-               else and is sheddable (priority 0) under overload *)
-            let idle =
-              Engine.idle_boxes engine
-              |> List.filter (fun b -> not (Hashtbl.mem box_owner b))
-              |> Array.of_list
-            in
-            Sample.shuffle crowd_rng idle;
-            let take = min viewers (Array.length idle) in
-            for i = 0 to take - 1 do
-              new_session ~box:idle.(i) ~video ~time ~priority:0;
-              incr t_flash
-            done
-        | Plan.Group_crash _ | Plan.Group_rejoin _ | Plan.Group_degrade _ | Plan.Group_restore _
-        | Plan.Helper_join _ | Plan.Helper_leave _ ->
-            assert false (* Plan.compile expanded these *)
+      (* a flash crowd arrives as admission events, not as direct
+         engine demands: every extra viewer queues like anyone else and
+         is sheddable (priority 0) under overload *)
+      let flash ~time ~video ~viewers =
+        let idle =
+          Engine.idle_boxes engine
+          |> List.filter (fun b -> not (Hashtbl.mem box_owner b))
+          |> Array.of_list
+        in
+        Sample.shuffle sys.Chaos.crowd_rng idle;
+        for i = 0 to min viewers (Array.length idle) - 1 do
+          new_session ~box:idle.(i) ~video ~time ~priority:0;
+          incr t_flash
+        done
       in
       let allowed_new video =
         let admitted_now =
@@ -604,7 +495,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         Hashtbl.reset admitted_vid;
         Hashtbl.reset sourceable_memo;
         (* 1. fault-plan events (flash crowds enqueue arrival bursts) *)
-        List.iter (apply_event time) (Plan.events_at plan time);
+        Chaos.apply_events sys ~time ~flash:(flash ~time);
         (* 2. interrupts: admitted viewers whose box went dark (the
            engine already dropped their requests with the box) or whose
            video lost every online replica of some stripe re-enter
@@ -819,7 +710,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         end;
         t_unserved := !t_unserved + report.Engine.unserved;
         if Vec.length queue > !t_max_queue then t_max_queue := Vec.length queue;
-        observe_slos report;
+        Slo.stream_round slo ~round:report.Engine.time engine report;
         let live = live_count () in
         let streaming =
           Vec.fold_left
@@ -831,10 +722,6 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             (fun _ sess acc -> if sess.state = Session.Retrying then acc + 1 else acc)
             sessions 0
         in
-        Timeseries.push ts_queue (Vec.length queue);
-        Timeseries.push ts_live live;
-        Timeseries.push ts_tokens !tokens;
-        Timeseries.push ts_headroom (max 0 !headroom);
         line
           {|{"type":"round","t":%d,"state":"%s","arrivals":%d,"admitted":%d,"retried":%d,"queue":%d,"tokens":%d,"headroom":%d,"shortfall":%d,"live":%d,"streaming":%d,"retrying":%d,"interrupted":%d,"expired":%d,"shed":%d,"rejected":%d,"completed":%d,"served":%d,"unserved":%d,"offline":%d}|}
           time
@@ -881,8 +768,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         totals.interrupted totals.expired totals.overflow_shed totals.overload_shed
         totals.helpers_drafted totals.stalled_rounds totals.total_unserved totals.max_queue
         totals.degraded_rounds live_at_end ok;
-      let slo_summaries = List.map (fun (ev, _) -> Slo.summary ev) slos in
-      List.iter (fun su -> slo_line (Slo.summary_line su)) slo_summaries;
+      let slo_summaries, slo_jsonl = Slo.stream_finish slo in
       Ok
         {
           scenario = s;
@@ -892,24 +778,12 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
           live_at_end;
           slo = slo_summaries;
           jsonl = Buffer.contents buf;
-          slo_jsonl = Buffer.contents slo_buf;
+          slo_jsonl;
         }
 
 let run_many ?rounds ?jobs ?config ?arrivals ~replications (s : Scenario.t) =
-  if replications < 1 then Error "replications must be >= 1"
-  else
-    match validate s with
-    | Error _ as err -> err
-    | Ok () ->
-        let outcomes =
-          Vod_par.Par.map ?jobs
-            ~f:(fun rep ->
-              match run ?rounds ~seed:(s.seed + (1000 * rep)) ?config ?arrivals s with
-              | Ok o -> o
-              | Error msg -> failwith msg (* unreachable: validated above *))
-            replications
-        in
-        Ok (Array.to_list outcomes)
+  Chaos.replicate ~jobs ~rounds ~replications s (fun i ->
+      run ?rounds ~seed:(Chaos.replication_seed s i) ?config ?arrivals s)
 
 let verdict_ok o =
   o.totals.total_unserved = 0

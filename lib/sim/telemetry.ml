@@ -62,7 +62,7 @@ let startup_tail ~limit =
     let count = Engine.startup_count engine in
     let bad = ref 0 in
     for i = !seen to count - 1 do
-      if Engine.startup_delay engine i > limit then incr bad
+      if float_of_int (Engine.startup_delay engine i) > limit then incr bad
     done;
     let total = count - !seen in
     seen := count;
@@ -71,7 +71,7 @@ let startup_tail ~limit =
 let default_slos () =
   [
     (Obs.Slo.spec ~name:"rejection" ~target:0.05 (), rejection);
-    (Obs.Slo.spec ~name:"startup" ~target:0.05 (), startup_tail ~limit:3);
+    (Obs.Slo.spec ~name:"startup" ~target:0.05 (), startup_tail ~limit:3.0);
   ]
 
 let create ?(capacity = 1024) ?(windows = [ 100; 1000 ]) ?(slos = []) () =

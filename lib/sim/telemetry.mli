@@ -57,7 +57,7 @@ val sourcing : Engine.t -> Engine.round_report -> int * int
 (** [(served - served_from_cache, served)] — connections that consumed
     sourcing (non-cache) capacity. *)
 
-val startup_tail : limit:int -> Engine.t -> Engine.round_report -> int * int
+val startup_tail : limit:float -> Engine.t -> Engine.round_report -> int * int
 (** Stateful cursor over {!Engine.startup_delays}: per round,
     [(startups slower than limit, new startups)].  Create one per
     engine run. *)

@@ -520,6 +520,13 @@ kpi max-time-to-repair 20
   checkb "no budgets, no summaries" true (oq.Chaos.slo = [])
 
 let test_chaos_rejects_bad_scenarios () =
+  let quiet = Result.get_ok (Scenario.parse ~name:"quiet" quiet_scenario_text) in
+  checkb "negative rounds is an error" true (Result.is_error (Chaos.run ~rounds:(-1) quiet));
+  checkb "negative rounds is an error in run_many" true
+    (Result.is_error (Chaos.run_many ~rounds:(-3) ~replications:2 quiet));
+  checkb "zero replications is an error" true
+    (Result.is_error (Chaos.run_many ~replications:0 quiet));
+  checkb "zero rounds is a run" true (Result.is_ok (Chaos.run ~rounds:0 quiet));
   let s = Result.get_ok (Scenario.parse ~name:"bad" (quiet_scenario_text ^ "at 5 crash 99\n")) in
   (match Chaos.run s with
   | Ok _ -> Alcotest.fail "ran with an out-of-range crash"

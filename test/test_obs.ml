@@ -6,6 +6,7 @@ module Registry = Vod_obs.Registry
 module Span = Vod_obs.Span
 module Export = Vod_obs.Export
 module Report = Vod_obs.Report
+module Json = Vod_json
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -480,9 +481,57 @@ let test_telemetry_attach () =
 (* QCheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* The shared JSON codec                                               *)
+(* ------------------------------------------------------------------ *)
+
+let test_json_reads_both_formats () =
+  (* the bench records compare.exe reads *)
+  let text =
+    In_channel.with_open_text "../bench/BENCH_matching.baseline.json" In_channel.input_all
+  in
+  (match Json.parse text with
+  | root -> (
+      checkb "schema" true
+        (Json.field "schema" root = Some (Json.Str "vod-bench-matching/1"));
+      match Json.field "records" root with
+      | Some (Json.Arr (first :: _)) ->
+          checkb "a record has a name and ns_per_round" true
+            (match (Json.field "name" first, Json.field "ns_per_round" first) with
+            | Some (Json.Str _), Some (Json.Num _) -> true
+            | _ -> false)
+      | _ -> Alcotest.fail "no records")
+  | exception Json.Parse m -> Alcotest.fail m);
+  (* a trace line Report reads, with an attribute needing escapes *)
+  let r = Span.create_recorder () in
+  let _ = Span.emit r ~attrs:[ ("why", "a \"b\"\n\t\001") ] ~name:"x" ~start_ns:1 ~stop_ns:2 () in
+  (match String.split_on_char '\n' (Export.to_jsonl r) with
+  | _meta :: span :: _ ->
+      checkb "span attrs decode" true
+        (Json.field "attrs" (Json.parse span)
+        = Some (Json.Obj [ ("why", Json.Str "a \"b\"\n\t\001") ]))
+  | _ -> Alcotest.fail "expected a span line");
+  checkb "literals" true
+    (Json.parse {| {"t":true,"f":false,"n":null,"e":"\b\f\r\/"} |}
+    = Json.Obj
+        [
+          ("t", Json.Bool true);
+          ("f", Json.Bool false);
+          ("n", Json.Null);
+          ("e", Json.Str "\b\012\r/");
+        ]);
+  List.iter
+    (fun bad ->
+      checkb ("rejects " ^ bad) true
+        (match Json.parse bad with _ -> false | exception Json.Parse _ -> true))
+    [ "{"; "[1,]"; {|"\u12"|}; {|"\uzzzz"|}; "tru"; "{} x"; {|"\q"|} ]
+
 let qcheck_cases =
   let open QCheck in
   [
+    Test.make ~name:"json escape round-trips every byte string" ~count:500
+      (string_gen Gen.char)
+      (fun s -> Json.parse ("\"" ^ Json.escape s ^ "\"") = Json.Str s);
     Test.make ~name:"histogram merge preserves count and sum" ~count:200
       (pair (list (int_bound 100_000)) (list (int_bound 100_000)))
       (fun (xs, ys) ->
@@ -662,6 +711,7 @@ let suites =
         Alcotest.test_case "validate rejects bad traces" `Quick
           test_validate_rejects_bad_traces;
         Alcotest.test_case "summarise phases" `Quick test_summarise_phases;
+        Alcotest.test_case "shared reader" `Quick test_json_reads_both_formats;
       ] );
     ( "obs.par",
       [

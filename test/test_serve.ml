@@ -261,6 +261,17 @@ let test_jobs_identity () =
   in
   checks "jobs=1 and jobs=2 byte-identical" (cat 1) (cat 2)
 
+let test_rejects_bad_runs () =
+  let s = small_scenario () in
+  checkb "negative rounds is an error" true (Result.is_error (Serve.run ~rounds:(-3) s));
+  checkb "negative rounds is an error in run_many" true
+    (Result.is_error (Serve.run_many ~rounds:(-1) ~replications:2 s));
+  checkb "zero replications is an error" true
+    (Result.is_error (Serve.run_many ~replications:0 s));
+  match Serve.run ~rounds:0 s with
+  | Error m -> Alcotest.fail m
+  | Ok o -> checki "zero rounds admit nothing" 0 o.Serve.totals.Serve.admitted
+
 let test_arrivals_and_policy_names () =
   checkb "scenario" true (Serve.arrivals_of_name "scenario" = Ok Serve.Scenario_rate);
   checkb "poisson" true (Serve.arrivals_of_name "poisson:2.5" = Ok (Serve.Poisson 2.5));
@@ -324,6 +335,7 @@ let suites =
         Alcotest.test_case "golden pin" `Quick test_golden_pin;
         Alcotest.test_case "jobs byte-identity" `Quick test_jobs_identity;
         Alcotest.test_case "names parse" `Quick test_arrivals_and_policy_names;
+        Alcotest.test_case "rejects bad runs" `Quick test_rejects_bad_runs;
       ] );
     ("serve.properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
   ]
