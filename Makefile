@@ -9,9 +9,9 @@ test:
 	dune runtest
 
 # Short-budget differential fuzz pass (separate from `dune runtest`):
-# 200 random bipartite instances x 7 max-matching solvers (the CSR
-# Hopcroft-Karp production core against its Dinic, push-relabel,
-# legacy and min-cost references) plus 6 simulated scenarios x 3
+# 200 random bipartite instances x 5 max-matching solvers (the CSR
+# Hopcroft-Karp production core against the slot-expansion HK, Dinic,
+# push-relabel and min-cost references) plus 6 simulated scenarios x 3
 # lockstep scheduler engines (plus an arbitrary twin forced onto the
 # scratch build, whose instance must equal the delta-built one), every
 # engine failure round certified by an independent Hall-violator check.  Fixed seed, so the pass is

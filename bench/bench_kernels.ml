@@ -5,7 +5,7 @@
 
      kernels/layer_build/{bitset,array}    one BFS layer expansion —
          OR the frontier lefts' rows into a right-side set.  The bitset
-         path is the Hopcroft-Karp/Dinic inner loop (raw word writes +
+         path is the Hopcroft-Karp inner loop (raw word writes +
          andnot sweep); the array baseline is the per-vertex seen-array
          walk the kernels replaced.
 
@@ -65,8 +65,8 @@ let time_layer_bitset csr =
   let row_start = Csr.row_start csr and col = Csr.col csr in
   let frontier = Bitset.create n_right and visited = Bitset.create n_right in
   let built = ref 0 in
-  let b0 = Bench_matching.allocated_bytes () in
-  let t0 = Bench_matching.now_ns () in
+  let t0 = Meter.now_ns () in
+  let b0 = Meter.allocated_bytes () in
   for _ = 1 to layer_rounds do
     Bitset.clear visited;
     for r = 0 to (n_right / 3) - 1 do
@@ -87,7 +87,8 @@ let time_layer_bitset csr =
     Bitset.andnot_into ~dst:frontier visited;
     built := !built + Bitset.cardinal frontier
   done;
-  (Bench_matching.now_ns () -. t0, !built, Bench_matching.allocated_bytes () -. b0)
+  let bytes = Meter.allocated_bytes () -. b0 in
+  (Meter.now_ns () -. t0, !built, bytes)
 
 let time_layer_array csr =
   let n_left = Csr.n_left csr and n_right = Csr.n_right csr in
@@ -95,8 +96,8 @@ let time_layer_array csr =
   let seen = Array.make n_right false in
   let layer = Array.make n_right 0 in
   let built = ref 0 in
-  let b0 = Bench_matching.allocated_bytes () in
-  let t0 = Bench_matching.now_ns () in
+  let t0 = Meter.now_ns () in
+  let b0 = Meter.allocated_bytes () in
   for _ = 1 to layer_rounds do
     Array.fill seen 0 n_right false;
     for r = 0 to (n_right / 3) - 1 do
@@ -117,7 +118,8 @@ let time_layer_array csr =
     done;
     built := !built + !filled
   done;
-  (Bench_matching.now_ns () -. t0, !built, Bench_matching.allocated_bytes () -. b0)
+  let bytes = Meter.allocated_bytes () -. b0 in
+  (Meter.now_ns () -. t0, !built, bytes)
 
 (* ------------------------------------------------------------------ *)
 

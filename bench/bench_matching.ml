@@ -67,44 +67,35 @@ let make_sequence ~seed ~n_left ~rounds ~churn =
   done;
   List.rev !instances
 
-let now_ns () = Unix.gettimeofday () *. 1e9
-
-(* Bytes allocated so far.  [Gc.allocated_bytes] misses what the minor
-   heap took since its last collection (up to its whole size, which
-   would swamp a few-round record); [Gc.minor_words] is exact, and the
-   quick_stat terms add the direct major-heap allocations. *)
-let allocated_bytes () =
-  let s = Gc.quick_stat () in
-  let words = Gc.minor_words () +. s.major_words -. s.promoted_words in
-  words *. float_of_int (Sys.word_size / 8)
-
 (* Every timed path reuses one arena per call, like the engine does;
    each timer returns (elapsed ns, total matched, allocated bytes). *)
 
 let time_scratch seq ~arena =
   let matched = ref 0 in
-  let b0 = allocated_bytes () in
-  let t0 = now_ns () in
+  let t0 = Meter.now_ns () in
+  let b0 = Meter.allocated_bytes () in
   List.iter
     (fun inst ->
       let o = Bipartite.solve ~arena inst in
       matched := !matched + o.Bipartite.matched)
     seq;
-  let ns = now_ns () -. t0 in
-  (ns, !matched, allocated_bytes () -. b0)
+  let bytes = Meter.allocated_bytes () -. b0 in
+  let ns = Meter.now_ns () -. t0 in
+  (ns, !matched, bytes)
 
 (* The bare CSR core: no outcome arrays, results stay in the arena.
    This is the ~0 bytes/round row. *)
 let time_csr_hk seq ~arena =
   let matched = ref 0 in
-  let b0 = allocated_bytes () in
-  let t0 = now_ns () in
+  let t0 = Meter.now_ns () in
+  let b0 = Meter.allocated_bytes () in
   List.iter
     (fun inst ->
       matched := !matched + Hopcroft_karp.solve_csr ~arena (Bipartite.csr inst))
     seq;
-  let ns = now_ns () -. t0 in
-  (ns, !matched, allocated_bytes () -. b0)
+  let bytes = Meter.allocated_bytes () -. b0 in
+  let ns = Meter.now_ns () -. t0 in
+  (ns, !matched, bytes)
 
 let run () =
   let records = ref [] in
@@ -182,7 +173,7 @@ let run () =
    certificate's request count, so a changed certificate shows as drift
    in the compare gate.  With [~reference] the flow-cut extractor the
    search replaced ([Check.Certificate.reference_violator], two Dinic
-   max flows over explicit networks) is timed on the same instances as
+   max flows over [Check.Reference.network]) is timed on the same instances as
    the before row, and the two certificates must be equal. *)
 let certificate_sizes = [ 4096; 16384 ]
 
@@ -201,20 +192,21 @@ let below_threshold_rounds ~seed ~n_left ~rounds =
         done
       done;
       ignore (Bipartite.adjacency inst);
-      (inst, Bipartite.solve ~algorithm:Bipartite.Hopcroft_karp_matching inst))
+      (inst, Bipartite.solve inst))
 
 let time_certificates rounds ~extract =
   let x = ref 0 in
-  let b0 = allocated_bytes () in
-  let t0 = now_ns () in
+  let t0 = Meter.now_ns () in
+  let b0 = Meter.allocated_bytes () in
   List.iter
     (fun (inst, matching) ->
       match extract inst matching with
       | Some v -> x := !x + List.length v.Bipartite.requests
       | None -> failwith "bench_matching: a below-threshold round has no certificate")
     rounds;
-  let ns = now_ns () -. t0 in
-  (ns, !x, allocated_bytes () -. b0)
+  let bytes = Meter.allocated_bytes () -. b0 in
+  let ns = Meter.now_ns () -. t0 in
+  (ns, !x, bytes)
 
 let run_certificate ?(reference = false) sizes =
   let arena = Arena.create () in
@@ -333,8 +325,8 @@ let run_swarm_pass ~seed ~n_left ~rounds ~solve =
   ignore (solve inst);
   let dirty = Array.make n_left false in
   let matched = ref 0 in
-  let b0 = allocated_bytes () in
-  let t0 = now_ns () in
+  let t0 = Meter.now_ns () in
+  let b0 = Meter.allocated_bytes () in
   for _round = 1 to rounds do
     Array.fill dirty 0 n_left false;
     for _ = 1 to max 1 (int_of_float (float_of_int n_left *. swarm_churn)) do
@@ -347,8 +339,9 @@ let run_swarm_pass ~seed ~n_left ~rounds ~solve =
       ~fill;
     matched := !matched + solve inst
   done;
-  let ns = now_ns () -. t0 in
-  { ns; matched = !matched; bytes = allocated_bytes () -. b0 }
+  let bytes = Meter.allocated_bytes () -. b0 in
+  let ns = Meter.now_ns () -. t0 in
+  { ns; matched = !matched; bytes }
 
 let hk_solve ~arena inst = Hopcroft_karp.solve_csr ~arena (Bipartite.csr inst)
 let scale_sizes = [ 262_144; 1_000_000 ]

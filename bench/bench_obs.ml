@@ -44,11 +44,11 @@ let run_once ~telemetry =
   in
   let wg = Prng.create ~seed:9 () in
   let gen = Generators.zipf_arrivals wg ~rate:400.0 ~s:0.9 in
-  let b0 = Bench_matching.allocated_bytes () in
-  let t0 = Bench_matching.now_ns () in
+  let t0 = Meter.now_ns () in
+  let b0 = Meter.allocated_bytes () in
   let reports = Engine.run sim ~rounds ~demands_for:gen in
-  let ns = Bench_matching.now_ns () -. t0 in
-  let bytes = Bench_matching.allocated_bytes () -. b0 in
+  let bytes = Meter.allocated_bytes () -. b0 in
+  let ns = Meter.now_ns () -. t0 in
   let served = List.fold_left (fun acc r -> acc + r.Engine.served) 0 reports in
   (match tele with
   | Some t when Telemetry.rounds t <> rounds ->

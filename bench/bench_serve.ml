@@ -55,11 +55,11 @@ let best_of f =
   ignore (f ());
   let best = ref infinity and out = ref None and alloc = ref infinity in
   for _ = 1 to reps do
-    let b0 = Bench_matching.allocated_bytes () in
-    let t0 = Bench_matching.now_ns () in
+    let t0 = Meter.now_ns () in
+    let b0 = Meter.allocated_bytes () in
     let o = f () in
-    let ns = Bench_matching.now_ns () -. t0 in
-    let bytes = Bench_matching.allocated_bytes () -. b0 in
+    let bytes = Meter.allocated_bytes () -. b0 in
+    let ns = Meter.now_ns () -. t0 in
     if ns < !best then begin
       best := ns;
       out := Some o

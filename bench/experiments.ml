@@ -503,13 +503,9 @@ let e9_solvers () =
           Bipartite.add_edge inst ~left:l ~right:(Prng.int g n_right)
         done
       done;
-      let d = (Bipartite.solve ~algorithm:Bipartite.Dinic_flow inst).Bipartite.matched in
-      let p =
-        (Bipartite.solve ~algorithm:Bipartite.Push_relabel_flow inst).Bipartite.matched
-      in
-      let h =
-        (Bipartite.solve ~algorithm:Bipartite.Hopcroft_karp_matching inst).Bipartite.matched
-      in
+      let d = (Check.Reference.solve `Dinic inst).Bipartite.matched in
+      let p = (Check.Reference.solve `Push_relabel inst).Bipartite.matched in
+      let h = (Bipartite.solve inst).Bipartite.matched in
       Table.add_row tbl
         [
           string_of_int n_left;

@@ -38,11 +38,11 @@ let make_matching_instance ~seed ~n_left ~n_right =
 
 let micro_benchmarks () =
   let open Bechamel in
-  let solver_test name algorithm =
+  let solver_test name solve =
     Test.make ~name
       (Staged.stage (fun () ->
            let inst = make_matching_instance ~seed:3 ~n_left:512 ~n_right:128 in
-           ignore (Bipartite.solve ~algorithm inst)))
+           ignore (solve inst)))
   in
   let alloc_test =
     Test.make ~name:"random_permutation n=256 m=256 c=2 k=4"
@@ -84,9 +84,10 @@ let micro_benchmarks () =
   let tests =
     Test.make_grouped ~name:"vod"
       [
-        solver_test "matching: dinic 512x128" Bipartite.Dinic_flow;
-        solver_test "matching: push-relabel 512x128" Bipartite.Push_relabel_flow;
-        solver_test "matching: hopcroft-karp 512x128" Bipartite.Hopcroft_karp_matching;
+        solver_test "matching: dinic reference 512x128" (Check.Reference.solve `Dinic);
+        solver_test "matching: push-relabel reference 512x128"
+          (Check.Reference.solve `Push_relabel);
+        solver_test "matching: hopcroft-karp 512x128" (fun inst -> Bipartite.solve inst);
         alloc_test;
         step_test;
         ring_test;

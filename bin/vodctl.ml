@@ -19,6 +19,39 @@
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
+(* Exit status                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A run whose verdict failed — a chaos replication that did not
+   recover, a service run that stalled or breached an SLO, a battery
+   cell over its KPI budgets, an oracle disagreement — exits 1, so a CI
+   gate can tell a breach from a usage error, which keeps cmdliner's
+   124.  Every command evaluates to its exit status. *)
+let verdict_failed = 1
+
+let verdict_exits =
+  Cmd.Exit.info verdict_failed
+    ~doc:
+      "on a failed run verdict (a replication that did not recover, a stalled \
+       service, a breached KPI budget or SLO, an oracle disagreement)."
+  :: Cmd.Exit.defaults
+
+(* The one mapping from a run's verdict to the exit status; [failure]
+   describes the failed verdict on stderr. *)
+let verdict ok ~failure =
+  if ok then `Ok Cmd.Exit.ok
+  else begin
+    Printf.eprintf "vodctl: %s\n" (failure ());
+    `Ok verdict_failed
+  end
+
+(* A command with a verdict declares its exit status in its man page. *)
+let verdict_cmd name ~doc term = Cmd.v (Cmd.info name ~exits:verdict_exits ~doc) term
+
+(* A command without a verdict exits 0 whenever it runs. *)
+let plain_cmd info term = Cmd.v info (Term.map (fun () -> Cmd.Exit.ok) term)
+
+(* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -299,7 +332,7 @@ let bounds_cmd =
       & opt (some float) None
       & info [ "threshold" ] ~docv:"USTAR" ~doc:"Also derive Theorem 2 at this deficiency threshold u*.")
   in
-  Cmd.v
+  plain_cmd
     (Cmd.info "bounds" ~doc:"Derive the paper's parameter prescriptions.")
     Term.(ret (const run $ n_arg $ u_arg $ d_arg $ mu_arg $ u_star_arg))
 
@@ -346,7 +379,7 @@ let allocate_cmd =
       & opt (some string) None
       & info [ "save" ] ~docv:"FILE" ~doc:"Write the allocation to FILE (text format).")
   in
-  Cmd.v
+  plain_cmd
     (Cmd.info "allocate" ~doc:"Build an allocation; report balance and audit it.")
     Term.(
       ret
@@ -368,14 +401,10 @@ let rate_arg =
   Arg.(
     value & opt float 2.0 & info [ "rate" ] ~docv:"RATE" ~doc:"Mean arrivals per round.")
 
-(* Names of the solver counters worth a one-line summary after a run. *)
-let solver_counters =
-  [
-    "hk.augmenting_paths";
-    "dinic.augmenting_paths";
-    "pr.pushes";
-    "pr.relabels";
-  ]
+(* Names of the solver counters worth a one-line summary after a run:
+   the production matching core's (the vod_check references record
+   none). *)
+let solver_counters = [ "hk.augmenting_paths" ]
 
 let simulate_cmd =
   let run n u d c k m mu duration rounds seed scheme workload rate csv load obs =
@@ -446,7 +475,7 @@ let simulate_cmd =
           ~doc:"Load the allocation from FILE (written by allocate --save) instead of \
                 generating one; -n/-c/-k/-m/--scheme are then ignored.")
   in
-  Cmd.v
+  plain_cmd
     (Cmd.info "simulate" ~doc:"Run a demand workload through the round engine.")
     Term.(
       ret
@@ -508,7 +537,7 @@ let attack_cmd =
              $(b,tight) (concentrate on scarce server sets) or $(b,stampede) \
              (everyone on one video, ignoring mu).")
   in
-  Cmd.v
+  plain_cmd
     (Cmd.info "attack" ~doc:"Drive an adversarial demand sequence against the system.")
     Term.(
       ret
@@ -668,7 +697,7 @@ let sweep_cmd =
       & info [ "rounds" ] ~docv:"R"
           ~doc:"Rounds of uniform-arrival simulation per replication.")
   in
-  Cmd.v
+  plain_cmd
     (Cmd.info "sweep"
        ~doc:
          "Sweep the upload capacity across the threshold (replications run in \
@@ -744,7 +773,7 @@ let plan_cmd =
       `Ok ()
     end
   in
-  Cmd.v
+  plain_cmd
     (Cmd.info "plan" ~doc:"Capacity planning: guaranteed / certified / empirical catalog sizes.")
     Term.(ret (const run $ n_arg $ u_arg $ d_arg $ mu_arg))
 
@@ -756,13 +785,17 @@ let check_cmd =
   let run seed instances scenarios rounds repro_dir replay =
     match replay with
     | Some path -> (
-        match Vod.Check.Fuzz.replay ~path with
-        | Ok matched ->
-            Printf.printf "repro %s: all solvers agree (matched = %d); bug no \
-                           longer reproduces\n"
-              path matched;
-            `Ok ()
-        | Error detail -> `Error (false, Printf.sprintf "repro %s: %s" path detail))
+        match Vod.Check.Instance.load ~path with
+        | Error m -> `Error (false, Printf.sprintf "repro %s: cannot load repro: %s" path m)
+        | Ok inst -> (
+            match Vod.Check.Oracle.solver_agreement inst with
+            | Ok matched ->
+                Printf.printf "repro %s: all solvers agree (matched = %d); bug no \
+                               longer reproduces\n"
+                  path matched;
+                `Ok Cmd.Exit.ok
+            | Error detail ->
+                verdict false ~failure:(fun () -> Printf.sprintf "repro %s: %s" path detail)))
     | None when instances < 0 || scenarios < 0 || rounds < 1 ->
         `Error (false, "check: --instances and --scenarios must be >= 0, --rounds >= 1")
     | None ->
@@ -770,9 +803,10 @@ let check_cmd =
           Vod.Check.Fuzz.run ~seed ~instances ~scenarios ~rounds ?repro_dir ()
         in
         Printf.printf
-          "differential check (seed %d): %d bipartite instances x 7 solvers, %d \
+          "differential check (seed %d): %d bipartite instances x %d solvers, %d \
            scenarios x 3 scheduler engines + a scratch-build twin\n"
           seed summary.Vod.Check.Fuzz.instances_checked
+          (List.length Vod.Check.Oracle.solver_names)
           summary.Vod.Check.Fuzz.scenarios_checked;
         Printf.printf
           "engine failure rounds with independently confirmed Hall certificates: %d\n"
@@ -780,21 +814,18 @@ let check_cmd =
         Printf.printf "obs: %s\n"
           (Vod.Obs.Report.one_line Vod.Obs.Registry.default
              ~names:("fuzz.cases" :: "fuzz.shrink_steps" :: solver_counters));
-        (match summary.Vod.Check.Fuzz.failures with
-        | [] ->
-            print_endline "verdict: all oracles agree";
-            `Ok ()
-        | failures ->
-            List.iter
-              (fun f ->
-                Printf.printf "FAILURE [%s] seed=%d index=%d: %s%s\n"
-                  f.Vod.Check.Fuzz.kind f.Vod.Check.Fuzz.seed f.Vod.Check.Fuzz.index
-                  f.Vod.Check.Fuzz.detail
-                  (match f.Vod.Check.Fuzz.repro_path with
-                  | Some p -> Printf.sprintf " (minimised repro: %s)" p
-                  | None -> ""))
-              failures;
-            `Error (false, Printf.sprintf "%d oracle failure(s)" (List.length failures)))
+        let failures = summary.Vod.Check.Fuzz.failures in
+        List.iter
+          (fun f ->
+            Printf.printf "FAILURE [%s] seed=%d index=%d: %s%s\n" f.Vod.Check.Fuzz.kind
+              f.Vod.Check.Fuzz.seed f.Vod.Check.Fuzz.index f.Vod.Check.Fuzz.detail
+              (match f.Vod.Check.Fuzz.repro_path with
+              | Some p -> Printf.sprintf " (minimised repro: %s)" p
+              | None -> ""))
+          failures;
+        if failures = [] then print_endline "verdict: all oracles agree";
+        verdict (failures = []) ~failure:(fun () ->
+            Printf.sprintf "%d oracle failure(s)" (List.length failures))
   in
   let instances_arg =
     Arg.(
@@ -827,11 +858,10 @@ let check_cmd =
       & info [ "replay" ] ~docv:"FILE"
           ~doc:"Re-check a single repro FILE instead of fuzzing.")
   in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Differential verification: cross-solver and cross-scheduler oracles over \
-          seeded random instances, with failure shrinking and repro files.")
+  verdict_cmd "check"
+    ~doc:
+      "Differential verification: cross-solver and cross-scheduler oracles over \
+       seeded random instances, with failure shrinking and repro files."
     Term.(
       ret
         (const run $ seed_arg $ instances_arg $ scenarios_arg $ check_rounds_arg
@@ -903,14 +933,12 @@ let chaos_cmd =
                   o.Vod.Fault.Chaos.min_online o.Vod.Fault.Chaos.total_unserved
                   o.Vod.Fault.Chaos.total_faulted)
               outcomes;
-            if List.for_all Vod.Fault.Chaos.verdict_ok outcomes then `Ok ()
-            else
-              `Error
-                ( false,
-                  Printf.sprintf "%d of %d replications did not recover"
-                    (List.length
-                       (List.filter (fun o -> not (Vod.Fault.Chaos.verdict_ok o)) outcomes))
-                    (List.length outcomes) ))
+            let failed =
+              List.filter (fun o -> not (Vod.Fault.Chaos.verdict_ok o)) outcomes
+            in
+            verdict (failed = []) ~failure:(fun () ->
+                Printf.sprintf "%d of %d replications did not recover"
+                  (List.length failed) (List.length outcomes)))
 in
   let scenario_arg =
     Arg.(
@@ -935,12 +963,11 @@ in
              kpi budgets) to FILE; byte-identical at any --jobs, like the chaos \
              stream.")
   in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Run a named chaos scenario: inject the scripted faults, let the \
-          bandwidth-aware repair controller self-heal, and emit a deterministic JSONL \
-          verdict stream (exit 0 iff every replication recovered).")
+  verdict_cmd "chaos"
+    ~doc:
+      "Run a named chaos scenario: inject the scripted faults, let the \
+       bandwidth-aware repair controller self-heal, and emit a deterministic JSONL \
+       verdict stream (exit 0 iff every replication recovered)."
     Term.(
       ret
         (const run $ scenario_arg $ scenario_rounds_arg $ scenario_seed_arg
@@ -1031,15 +1058,12 @@ let serve_cmd =
                         let bad o =
                           (not (Vod.Serve.verdict_ok o)) || Vod.Serve.slo_breached o
                         in
-                        if not (List.exists bad outcomes) then `Ok ()
-                        else
-                          `Error
-                            ( false,
-                              Printf.sprintf
-                                "%d of %d replications stalled admitted sessions, \
-                                 blew the retry budget or breached an SLO"
-                                (List.length (List.filter bad outcomes))
-                                (List.length outcomes) )))))
+                        verdict (not (List.exists bad outcomes)) ~failure:(fun () ->
+                            Printf.sprintf
+                              "%d of %d replications stalled admitted sessions, blew \
+                               the retry budget or breached an SLO"
+                              (List.length (List.filter bad outcomes))
+                              (List.length outcomes))))))
 in
   let scn_arg =
     Arg.(
@@ -1095,16 +1119,15 @@ in
             "Write the vod-slo/1 burn-rate stream (stall SLO plus SLOs compiled from \
              the scenario's kpi budgets) to FILE.")
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the event-driven service mode: continuous arrivals through admission \
-          control (token bucket + measured headroom + the paper's swarm-growth bound), \
-          bounded-queue backpressure, deadline-aware retry/recovery, and policy-driven \
-          shedding under overload — while the scenario's fault plan fires against the \
-          running service.  Emits a deterministic vod-serve/1 JSONL stream; exit 0 iff \
-          every replication kept admitted sessions stall-free, within retry budget and \
-          inside its SLOs.")
+  verdict_cmd "serve"
+    ~doc:
+      "Run the event-driven service mode: continuous arrivals through admission \
+       control (token bucket + measured headroom + the paper's swarm-growth bound), \
+       bounded-queue backpressure, deadline-aware retry/recovery, and policy-driven \
+       shedding under overload — while the scenario's fault plan fires against the \
+       running service.  Emits a deterministic vod-serve/1 JSONL stream; exit 0 iff \
+       every replication kept admitted sessions stall-free, within retry budget and \
+       inside its SLOs."
     Term.(
       ret
         (const run $ scn_arg $ scenario_rounds_arg $ scenario_seed_arg $ arrivals_arg
@@ -1178,13 +1201,10 @@ let battery_cmd =
                     Printf.eprintf "scorecard written to %s\n" path);
                 print_summaries obs;
                 prerr_string report.Vod.Battery.Battery.table;
-                if Vod.Battery.Battery.ok report then `Ok ()
-                else
-                  `Error
-                    ( false,
-                      Printf.sprintf "%d of %d cells breached their KPI budgets"
-                        report.Vod.Battery.Battery.breached
-                        (List.length report.Vod.Battery.Battery.cells) )))
+                verdict (Vod.Battery.Battery.ok report) ~failure:(fun () ->
+                    Printf.sprintf "%d of %d cells breached their KPI budgets"
+                      report.Vod.Battery.Battery.breached
+                      (List.length report.Vod.Battery.Battery.cells))))
   in
   let paths_arg =
     Arg.(
@@ -1209,12 +1229,11 @@ let battery_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the vod-scorecard/1 JSONL to FILE instead of stdout.")
   in
-  Cmd.v
-    (Cmd.info "battery"
-       ~doc:
-         "Run a scenario battery: every (scenario x engine config) cell through the \
-          chaos runner, ranked into a deterministic KPI scorecard (exit 0 iff no cell \
-          breaches its declared KPI budgets).")
+  verdict_cmd "battery"
+    ~doc:
+      "Run a scenario battery: every (scenario x engine config) cell through the \
+       chaos runner, ranked into a deterministic KPI scorecard (exit 0 iff no cell \
+       breaches its declared KPI budgets)."
     Term.(
       ret
         (const run $ paths_arg $ configs_arg
@@ -1284,7 +1303,7 @@ let obs_report_cmd =
                 $(b,stack self_ns) line per stack, flamegraph.pl/speedscope input) \
                 instead of the summary.")
   in
-  Cmd.v
+  plain_cmd
     (Cmd.info "obs-report"
        ~doc:"Validate and summarise an observability trace (JSONL from simulate \
              --obs-out): per-phase timing table, counters, histograms, or collapsed \
@@ -1469,7 +1488,7 @@ let top_cmd =
       value & opt int 10
       & info [ "interval" ] ~docv:"R" ~doc:"Redraw the dashboard every R rounds.")
   in
-  Cmd.v
+  plain_cmd
     (Cmd.info "top"
        ~doc:
          "Live in-terminal dashboard over a run: sparkline time series of the round \
@@ -1529,7 +1548,7 @@ let proto_cmd =
       `Ok ()
     with Invalid_argument e -> `Error (false, e)
   in
-  Cmd.v
+  plain_cmd
     (Cmd.info "proto"
        ~doc:"Run the fully decentralised protocol (DHT + negotiation) end to end.")
     Term.(
@@ -1541,7 +1560,7 @@ let () =
   let doc = "peer-to-peer video-on-demand scalability toolbox (IPDPS 2009 reproduction)" in
   let info = Cmd.info "vodctl" ~version:"1.0.0" ~doc in
   exit
-    (Cmd.eval
+    (Cmd.eval'
        (Cmd.group info
           [
             bounds_cmd;

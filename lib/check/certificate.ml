@@ -89,43 +89,24 @@ let check_optimal_pair inst (o : B.outcome) v =
 
 (* The flow-cut extractor [B.hall_violator] replaced, kept as its
    independent reference: a Dinic max flow on the network of Lemma 1
-   (source -> request cap 1, request -> box, box -> sink cap slots)
-   decides feasibility; on a deficit a second max flow, on the same
-   network with unbounded request -> box arcs so that only source and
-   sink arcs can be cut, yields the certificate as the source side of
-   the minimal minimum cut. *)
+   ([Reference.network]) decides feasibility; on a deficit a second
+   max flow, on the same network with unbounded request -> box arcs so
+   that only source and sink arcs can be cut, yields the certificate
+   as the source side of the minimal minimum cut. *)
 let reference_violator bip =
-  let module F = Vod_graph.Flow_network in
   let nl = B.n_left bip and nr = B.n_right bip in
-  let adj = B.adjacency bip and right_cap = B.right_cap bip in
-  let src = 0 and sink = 1 + nl + nr in
-  let box r = 1 + nl + r in
-  let network ~middle_cap =
-    let net = F.create (sink + 1) in
-    for l = 0 to nl - 1 do
-      ignore (F.add_edge net ~src ~dst:(1 + l) ~cap:1)
-    done;
-    Array.iteri
-      (fun l row ->
-        Array.iter
-          (fun r -> ignore (F.add_edge net ~src:(1 + l) ~dst:(box r) ~cap:middle_cap))
-          row)
-      adj;
-    Array.iteri
-      (fun r c -> ignore (F.add_edge net ~src:(box r) ~dst:sink ~cap:c))
-      right_cap;
-    net
-  in
-  let value = Vod_graph.Dinic.max_flow (network ~middle_cap:1) ~src ~sink in
+  let right_cap = B.right_cap bip in
+  let max_flow (n : Reference.network) = Dinic.max_flow n.net ~src:0 ~sink:n.sink in
+  let value = max_flow (Reference.network bip) in
   if value = nl then None
   else begin
-    let net = network ~middle_cap:F.infinite_capacity in
-    let value' = Vod_graph.Dinic.max_flow net ~src ~sink in
+    let n = Reference.network ~middle_cap:Flow_network.infinite_capacity bip in
+    let value' = max_flow n in
     assert (value' = value);
-    let reachable = F.residual_reachable net ~src in
+    let reachable = Flow_network.residual_reachable n.net ~src:0 in
     let reached node = List.filter (fun v -> Vod_util.Bitset.mem reachable (node v)) in
-    let requests = reached (fun l -> 1 + l) (List.init nl Fun.id) in
-    let servers = reached box (List.init nr Fun.id) in
+    let requests = reached Reference.request_node (List.init nl Fun.id) in
+    let servers = reached (Reference.box_node bip) (List.init nr Fun.id) in
     let server_slots = List.fold_left (fun acc r -> acc + right_cap.(r)) 0 servers in
     Some { B.requests; servers; server_slots }
   end

@@ -43,7 +43,7 @@ val check_optimal_pair :
 val reference_violator : Vod_graph.Bipartite.t -> Vod_graph.Bipartite.violator option
 (** The flow-cut Hall certificate, computed independently of
     {!Vod_graph.Bipartite.hall_violator}: two Dinic max flows over
-    explicit flow networks (the second with unbounded request-to-box
+    {!Reference.network} (the second with unbounded request-to-box
     arcs) and the residual reachability of the minimal minimum cut.
     Slow and allocation-heavy; the oracle panel requires the production
     certificate to equal it exactly. *)

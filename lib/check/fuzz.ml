@@ -113,11 +113,6 @@ let shrink ~still_fails inst0 =
 (* The harness                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let replay ~path =
-  match Instance.load ~path with
-  | Error m -> Error ("cannot load repro: " ^ m)
-  | Ok inst -> Oracle.solver_agreement inst
-
 (* Scenario indices live in their own stream space so that raising the
    instance budget never reshuffles the scenarios a seed denotes. *)
 let scenario_stream_base = 0x5eed_0000
@@ -179,8 +174,10 @@ let run ?(seed = 42) ?(instances = 1000) ?(scenarios = 12) ?(rounds = 30) ?repro
 
 let pp_summary fmt s =
   Format.fprintf fmt
-    "@[<v>%d bipartite instances x 7 solvers, %d scenarios x 3 engines + a scratch-build twin@,\
+    "@[<v>%d bipartite instances x %d solvers, %d scenarios x 3 engines + a scratch-build twin@,\
      %d engine failure rounds with independently confirmed Hall certificates@,\
      %d oracle failure(s)@]"
-    s.instances_checked s.scenarios_checked s.failure_rounds_certified
+    s.instances_checked
+    (List.length Oracle.solver_names)
+    s.scenarios_checked s.failure_rounds_certified
     (List.length s.failures)

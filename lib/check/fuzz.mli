@@ -32,10 +32,6 @@ val shrink : still_fails:(Instance.t -> bool) -> Instance.t -> Instance.t
     failing.  Terminates because every accepted step strictly shrinks
     the instance. *)
 
-val replay : path:string -> (int, string) result
-(** Re-checks a repro file written by {!run} through the solver oracle;
-    [Ok matched] means the bug no longer reproduces. *)
-
 val run :
   ?seed:int ->
   ?instances:int ->

@@ -3,12 +3,12 @@
     Two levels, mirroring the two layers whose correctness the paper's
     guarantees rest on:
 
-    - {!solver_agreement}: the maximum-matching solvers (the CSR/arena
-      cores of Dinic, push-relabel and Hopcroft–Karp — the last being
-      the engine's production path, the flow cores its references —
-      their pre-CSR legacy implementations over an explicit flow
-      network / slot expansion, and min-cost flow) run on the same
-      bipartite instance must report the same matched cardinality,
+    - {!solver_agreement}: the maximum-matching solvers of
+      {!solver_names} (the engine's production CSR Hopcroft–Karp core,
+      the {!Reference} solvers — slot-expansion Hopcroft–Karp, Dinic
+      and push-relabel over an explicit flow network — and min-cost
+      flow) run on the same bipartite instance must report the same
+      matched cardinality,
       each matching must replay as a valid assignment, the Hall
       violator searched from scratch, from each solver's matching and
       from a non-maximum greedy matching must equal the flow-cut
@@ -28,6 +28,9 @@
       ({!Vod_graph.Csr.to_adjacency}) and its served, unserved and
       active counts must equal the delta-built [Arbitrary] engine's on
       every round, failing rounds included. *)
+
+val solver_names : string list
+(** The solver panel of {!solver_agreement}, production core first. *)
 
 val solver_agreement : Instance.t -> (int, string) result
 (** The agreed matched cardinality, or a description of the first

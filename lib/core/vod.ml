@@ -9,9 +9,6 @@ module Table = Vod_util.Table
 
 module Csr = Vod_graph.Csr
 module Arena = Vod_graph.Arena
-module Flow_network = Vod_graph.Flow_network
-module Dinic = Vod_graph.Dinic
-module Push_relabel = Vod_graph.Push_relabel
 module Hopcroft_karp = Vod_graph.Hopcroft_karp
 module Bipartite = Vod_graph.Bipartite
 module Min_cost_flow = Vod_graph.Min_cost_flow
@@ -55,8 +52,11 @@ module Catalog_search = Vod_adversary.Catalog_search
 
 module Check = Vod_check
 (** The differential verification subsystem: certificate checkers
-    ([Check.Certificate]), cross-solver and cross-scheduler oracles
-    ([Check.Oracle]) and the seeded fuzz harness ([Check.Fuzz]). *)
+    ([Check.Certificate]), the reference matching solvers the
+    production core is diffed against ([Check.Reference], over
+    [Check.Flow_network] with [Check.Dinic] and [Check.Push_relabel]),
+    cross-solver and cross-scheduler oracles ([Check.Oracle]) and the
+    seeded fuzz harness ([Check.Fuzz]). *)
 
 module Fault = Vod_fault
 (** The fault-injection and self-healing subsystem: declarative fault

@@ -1,10 +1,10 @@
-(** Reusable solver arena: every scratch buffer the matching / max-flow
-    cores need, grown with amortised doubling and never shrunk.
+(** Reusable solver arena: every scratch buffer the matching core and
+    the Hall search need, grown with amortised doubling and never
+    shrunk.
 
     An arena is allocated once (per engine, per bench harness, per sweep
     task — arenas are NOT domain-safe, each parallel task owns its own)
-    and passed to [Hopcroft_karp.solve_csr], [Dinic.solve_csr],
-    [Push_relabel.solve_csr], [Bipartite.solve ~arena] or
+    and passed to [Hopcroft_karp.solve_csr], [Bipartite.solve ~arena] or
     [Bipartite.hall_violator ~arena].  Once every slab has reached the
     high-water mark of the instances being solved, repeat solves
     allocate nothing.
@@ -37,24 +37,8 @@ type t = {
   seats : slab;
       (** occupied-seat registry: owning left per seat; in
           [Bipartite.hall_violator], per left the next left on its right *)
-  (* Dinic (implicit bipartite network) *)
-  level : slab;
-  it_left : slab;
-  it_right : slab;
-  matched_edge : slab;  (** per left: CSR edge id carrying its unit, or -1 *)
-  t_row_start : slab;  (** CSR transpose: per right, first incoming edge *)
-  t_eid : slab;  (** transpose payload: original CSR edge ids *)
-  t_packed : slab;  (** transpose payload, packed [(left lsl 31) lor edge_id] *)
-  edge_left : slab;  (** per CSR edge id: its left endpoint *)
-  (* push-relabel (FIFO + gap heuristic) *)
-  excess : slab;
-  height : slab;
-  height_count : slab;
-  edge_flow : slab;  (** per CSR edge id: 0/1 *)
-  src_flow : slab;  (** per left: 0/1 on the implicit source arc *)
-  pr_it : slab;  (** current-arc pointers *)
-  in_queue : slab;  (** 0/1 FIFO membership *)
-  (* word-parallel BFS scratch (Hopcroft-Karp and Dinic) *)
+  (* word-parallel BFS scratch (Hopcroft-Karp; [visited_right] is also
+     the Hall search's reached set) *)
   free_left : bitslab;  (** lefts still unmatched *)
   free_right : bitslab;  (** rights with a free seat *)
   frontier : bitslab;  (** rights reached by the layer being expanded *)

@@ -1,11 +1,10 @@
 open Vod_util
-module F = Flow_network
 
 (* The instance is CSR-backed: [Csr.t] holds the edges (insertion order,
    deduplicated on finalize) and the per-right capacities, and doubles
    as the reusable builder the engine refills every round via [reset].
    [dedup] memoises the sorted [int array array] view still consumed by
-   the legacy solver paths, certificates and min-cost/greedy solvers. *)
+   the min-cost/greedy solvers and the vod_check references. *)
 type t = {
   csr : Csr.t;
   mutable dedup : int array array option; (* memoised sorted adjacency rows *)
@@ -63,70 +62,51 @@ let adjacency t =
 
 let degree t l = Csr.degree t.csr l
 
-type algorithm = Dinic_flow | Push_relabel_flow | Hopcroft_karp_matching
-
 type outcome = { matched : int; assignment : int array; right_load : int array }
 
-let outcome_of_arena t arena size =
+let solve ?arena t =
+  let arena = match arena with Some a -> a | None -> Arena.create () in
+  let size = Hopcroft_karp.solve_csr ~arena (csr t) in
   {
     matched = size;
     assignment = Array.sub (Arena.assignment arena) 0 (n_left t);
     right_load = Array.sub (Arena.right_load arena) 0 (n_right t);
   }
 
-let solve ?arena ?(algorithm = Hopcroft_karp_matching) t =
-  let arena = match arena with Some a -> a | None -> Arena.create () in
-  let csr = csr t in
-  let size =
-    match algorithm with
-    | Dinic_flow -> Dinic.solve_csr ~arena csr
-    | Push_relabel_flow -> Push_relabel.solve_csr ~arena csr
-    | Hopcroft_karp_matching -> Hopcroft_karp.solve_csr ~arena csr
-  in
-  outcome_of_arena t arena size
-
-(* ------------------------------------------------------------------ *)
-(* Legacy adj-array solver paths: the historical implementations (an   *)
-(* explicit [Flow_network] for the flow algorithms, slot expansion for *)
-(* Hopcroft-Karp), kept as independent algorithms so the vod_check     *)
-(* oracle panel and the fuzz harness can diff the CSR/arena cores      *)
-(* against them on every instance.                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Flow-network encoding of Lemma 1 over the sorted adjacency, through
-   [add] (an explicit network's edge builder): source 0 -> request
-   [1 + l] (cap 1), request -> box [1 + n_left + r] (cap 1, cost
-   [cost l r]), box -> sink (cap = upload slots).  Returns the sink and
-   the request -> box arcs, row by row. *)
-let lay_network t ~add ~cost =
-  let nl = n_left t and right_cap = Csr.right_cap_array t.csr in
-  let box r = 1 + nl + r and sink = 1 + nl + n_right t in
+(* Successive shortest paths on Lemma 1's network over the sorted
+   adjacency: source 0 -> request [1 + l] (cap 1), request -> box
+   [1 + n_left + r] (cap 1, cost [edge_cost]), box -> sink (cap =
+   upload slots).  The matching is read off the request -> box arcs. *)
+let solve_min_cost t ~edge_cost =
+  let nl = n_left t and nr = n_right t and right_cap = Csr.right_cap_array t.csr in
+  let adj = adjacency t in
+  let net = Min_cost_flow.create (2 + nl + nr) in
+  let box r = 1 + nl + r and sink = 1 + nl + nr in
   for l = 0 to nl - 1 do
-    ignore (add ~src:0 ~dst:(1 + l) ~cap:1 ~cost:0)
+    ignore (Min_cost_flow.add_edge net ~src:0 ~dst:(1 + l) ~cap:1 ~cost:0)
   done;
   let middle =
     Array.mapi
       (fun l row ->
-        Array.map (fun r -> add ~src:(1 + l) ~dst:(box r) ~cap:1 ~cost:(cost l r)) row)
-      (adjacency t)
+        Array.map
+          (fun r ->
+            Min_cost_flow.add_edge net ~src:(1 + l) ~dst:(box r) ~cap:1
+              ~cost:(edge_cost ~left:l ~right:r))
+          row)
+      adj
   in
-  for r = 0 to n_right t - 1 do
-    ignore (add ~src:(box r) ~dst:sink ~cap:right_cap.(r) ~cost:0)
+  for r = 0 to nr - 1 do
+    ignore (Min_cost_flow.add_edge net ~src:(box r) ~dst:sink ~cap:right_cap.(r) ~cost:0)
   done;
-  (sink, middle)
-
-(* The matching carried by the request -> box arcs [middle] (aligned
-   with the sorted adjacency rows) of a solved network. *)
-let outcome_of_middle t ~carries middle =
-  let adj = adjacency t in
-  let assignment = Array.make (n_left t) (-1) in
-  let right_load = Array.make (n_right t) 0 in
+  let _value, _cost = Min_cost_flow.solve net ~src:0 ~sink in
+  let assignment = Array.make nl (-1) in
+  let right_load = Array.make nr 0 in
   let matched = ref 0 in
   Array.iteri
     (fun l arcs ->
       Array.iteri
         (fun i a ->
-          if carries a then begin
+          if Min_cost_flow.flow net a > 0 then begin
             let r = adj.(l).(i) in
             assignment.(l) <- r;
             right_load.(r) <- right_load.(r) + 1;
@@ -135,37 +115,6 @@ let outcome_of_middle t ~carries middle =
         arcs)
     middle;
   { matched = !matched; assignment; right_load }
-
-let solve_legacy ?(algorithm = Dinic_flow) t =
-  match algorithm with
-  | Dinic_flow | Push_relabel_flow ->
-      (* src arcs + middle arcs + sink arcs, two arc cells each *)
-      let arc_hint = 2 * (n_left t + Csr.n_edges t.csr + n_right t) in
-      let net = F.create ~arc_hint (2 + n_left t + n_right t) in
-      let add ~src ~dst ~cap ~cost:_ = F.add_edge net ~src ~dst ~cap in
-      let sink, middle = lay_network t ~add ~cost:(fun _ _ -> 0) in
-      let (_ : int) =
-        if algorithm = Dinic_flow then Dinic.max_flow net ~src:0 ~sink
-        else Push_relabel.max_flow net ~src:0 ~sink
-      in
-      outcome_of_middle t ~carries:(fun a -> F.flow net a > 0) middle
-  | Hopcroft_karp_matching ->
-      let r =
-        Hopcroft_karp.solve_slots ~n_left:(n_left t) ~n_right:(n_right t)
-          ~adj:(adjacency t)
-          ~right_cap:(Csr.right_cap_array t.csr |> fun a -> Array.sub a 0 (n_right t))
-          ()
-      in
-      { matched = r.Hopcroft_karp.size; assignment = r.assignment; right_load = r.right_load }
-
-let solve_min_cost t ~edge_cost =
-  let net = Min_cost_flow.create (2 + n_left t + n_right t) in
-  let sink, middle =
-    lay_network t ~add:(Min_cost_flow.add_edge net) ~cost:(fun left right ->
-        edge_cost ~left ~right)
-  in
-  let _value, _cost = Min_cost_flow.solve net ~src:0 ~sink in
-  outcome_of_middle t ~carries:(fun a -> Min_cost_flow.flow net a > 0) middle
 
 let solve_greedy ?(until_stable = false) ?warm_start ~rounds g t =
   let adj = adjacency t in
@@ -233,9 +182,7 @@ let solve_greedy ?(until_stable = false) ?warm_start ~rounds g t =
   done;
   { matched = !matched; assignment; right_load }
 
-let is_feasible ?(algorithm = Hopcroft_karp_matching) t =
-  let o = solve ~algorithm t in
-  o.matched = n_left t
+let is_feasible t = (solve t).matched = n_left t
 
 type violator = { requests : int list; servers : int list; server_slots : int }
 

@@ -59,12 +59,11 @@ val csr : t -> Csr.t
 
 val adjacency : t -> int array array
 (** Left-to-right adjacency, sorted per row with duplicates removed
-    (memoised; allocated on first use — the legacy/certificate view). *)
+    (memoised; allocated on first use — the min-cost, greedy and
+    reference-solver view). *)
 
 val degree : t -> int -> int
 (** Number of distinct boxes able to serve a request. *)
-
-type algorithm = Dinic_flow | Push_relabel_flow | Hopcroft_karp_matching
 
 type outcome = {
   matched : int;  (** Number of requests served. *)
@@ -72,22 +71,15 @@ type outcome = {
   right_load : int array;  (** Slots used per box. *)
 }
 
-val solve : ?arena:Arena.t -> ?algorithm:algorithm -> t -> outcome
-(** Maximum matching; default algorithm {!Hopcroft_karp_matching}, the
-    engine's one exact path (Lemma 1: any maximum matching serves the
-    round).  {!Dinic_flow} and {!Push_relabel_flow} stay selectable as
-    the vod_check panel's references.  All three algorithms run their
-    CSR/arena cores; pass [arena] (one per engine / harness / parallel
-    task — arenas are not domain-safe) to reuse the scratch buffers
-    across calls, otherwise a fresh arena is allocated.  The returned
-    [outcome] arrays are freshly allocated and owned by the caller
-    either way. *)
-
-val solve_legacy : ?algorithm:algorithm -> t -> outcome
-(** The historical solver paths — an explicit {!Flow_network} for
-    {!Dinic_flow} / {!Push_relabel_flow} and slot expansion for
-    {!Hopcroft_karp_matching} — kept as independent implementations for
-    the vod_check oracle panel to diff against {!solve}. *)
+val solve : ?arena:Arena.t -> t -> outcome
+(** Maximum matching by the capacitated CSR Hopcroft–Karp core
+    ({!Hopcroft_karp.solve_csr}), the engine's one exact path (Lemma 1:
+    any maximum matching serves the round); vod_check keeps independent
+    reference solvers to diff it against.  Pass [arena] (one per engine
+    / harness / parallel task — arenas are not domain-safe) to reuse the
+    scratch buffers across calls, otherwise a fresh arena is allocated.
+    The returned [outcome] arrays are freshly allocated and owned by the
+    caller either way. *)
 
 val solve_min_cost : t -> edge_cost:(left:int -> right:int -> int) -> outcome
 (** Maximum matching of minimum total edge cost (successive shortest
@@ -115,8 +107,8 @@ val solve_greedy :
     are box ids or -1; invalid or over-capacity seats are ignored) —
     persistent connections, as a deployed system would keep. *)
 
-val is_feasible : ?algorithm:algorithm -> t -> bool
-(** True iff every request can be served simultaneously. *)
+val is_feasible : t -> bool
+(** True iff every request can be served simultaneously ({!solve}). *)
 
 type violator = {
   requests : int list;  (** The set X of requests. *)

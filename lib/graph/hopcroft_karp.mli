@@ -2,16 +2,12 @@
 
     Left vertices each need one unit (a stripe request); right vertices
     accept up to [right_cap.(j)] units (a box's stripe-upload slots).
-    This is a direct combinatorial solver, independent of the flow-based
-    path: [solve_csr] is the engine's matching core ({!Bipartite.solve}'s
-    default), and the flow solvers are its cross-validation references
-    (experiment E9).
-
-    Two implementations coexist: [solve_csr], the flat zero-allocation
-    core over [Csr.t] + [Arena.t] (per-right seat counters), and
-    [solve_slots], the historical slot-expansion algorithm kept so the
-    vod_check oracle panel can diff the two.  [solve] is a thin shim
-    over the CSR core with the historical signature. *)
+    [solve_csr] is the engine's one matching core ({!Bipartite.solve}):
+    a flat zero-allocation solver over [Csr.t] + [Arena.t] with
+    per-right seat counters.  [solve] is a thin shim over it with the
+    historical adjacency-row signature.  The independent references
+    it is diffed against (flow-based and slot-expansion solvers, and
+    experiment E9) live in vod_check. *)
 
 type result = {
   size : int;  (** Number of matched left vertices. *)
@@ -36,14 +32,3 @@ val solve :
 (** {!solve_csr} over adjacency rows, with fresh result arrays.
     @raise Invalid_argument on negative capacities, adjacency out of
     range, or mismatched array lengths. *)
-
-val solve_slots :
-  n_left:int ->
-  n_right:int ->
-  adj:int array array ->
-  right_cap:int array ->
-  unit ->
-  result
-(** The legacy slot-expansion implementation of [solve] (rights expanded
-    into unit slots).  Same contract and validation as [solve]; kept as
-    an independent algorithm for differential checking. *)

@@ -1,7 +1,8 @@
 open Vod_util
 
-(* Paired-arc residual representation, as in {!Flow_network}, with a
-   per-arc cost (reverse arcs carry the negated cost). *)
+(* Paired-arc residual representation (arc [2i] forward, [2i+1] its
+   reverse), with a per-arc cost (reverse arcs carry the negated
+   cost). *)
 type t = {
   n : int;
   first : int array;

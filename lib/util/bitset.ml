@@ -112,12 +112,6 @@ let iter f t =
     end
   done
 
-let iter_words f t =
-  for wi = 0 to Array.length t.words - 1 do
-    let w = Array.unsafe_get t.words wi in
-    if w <> 0 then f wi w
-  done
-
 let to_list t =
   let acc = ref [] in
   iter (fun i -> acc := i :: !acc) t;
@@ -142,20 +136,6 @@ let union_into ~dst src =
       (Array.unsafe_get dst.words w lor Array.unsafe_get src.words w)
   done
 
-let union_into_reporting_new ~dst src =
-  if dst.capacity <> src.capacity then
-    invalid_arg "Bitset.union_into_reporting_new: capacity mismatch";
-  let fresh = ref 0 in
-  for w = 0 to Array.length dst.words - 1 do
-    let d = Array.unsafe_get dst.words w and s = Array.unsafe_get src.words w in
-    let born = s land lnot d in
-    if born <> 0 then begin
-      fresh := !fresh + popcount born;
-      Array.unsafe_set dst.words w (d lor s)
-    end
-  done;
-  !fresh
-
 let andnot_into ~dst src =
   if dst.capacity <> src.capacity then
     invalid_arg "Bitset.andnot_into: capacity mismatch";
@@ -172,11 +152,3 @@ let intersects a b =
     && (Array.unsafe_get a.words w land Array.unsafe_get b.words w <> 0 || go (w + 1))
   in
   go 0
-
-let inter_cardinal a b =
-  if a.capacity <> b.capacity then invalid_arg "Bitset.inter_cardinal: capacity mismatch";
-  let acc = ref 0 in
-  for w = 0 to Array.length a.words - 1 do
-    acc := !acc + popcount (a.words.(w) land b.words.(w))
-  done;
-  !acc

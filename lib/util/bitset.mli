@@ -72,20 +72,11 @@ val iter : (int -> unit) -> t -> unit
 (** Ascending order; O(words + population) via [next_set_bit]-style
     word skipping.  The set must not be mutated during iteration. *)
 
-val iter_words : (int -> int -> unit) -> t -> unit
-(** [iter_words f t] applies [f word_index word] to each nonzero
-    backing word, in ascending order. *)
-
 val to_list : t -> int list
 val copy : t -> t
 
 val union_into : dst:t -> t -> unit
 (** [union_into ~dst src] sets [dst := dst ∪ src].
-    @raise Invalid_argument on capacity mismatch. *)
-
-val union_into_reporting_new : dst:t -> t -> int
-(** [union_into ~dst src] returning how many bits of [src] were not
-    already in [dst] — the "newly visited" count of a BFS layer merge.
     @raise Invalid_argument on capacity mismatch. *)
 
 val andnot_into : dst:t -> t -> unit
@@ -97,5 +88,3 @@ val intersects : t -> t -> bool
     stops at the first witnessing word.
     @raise Invalid_argument on capacity mismatch. *)
 
-val inter_cardinal : t -> t -> int
-(** Size of the intersection, without materialising it. *)

@@ -53,12 +53,16 @@ let test_checker_accepts_genuine () =
   let inst = instance_of_seed 1234 in
   let bip = Instance.to_bipartite inst in
   List.iter
-    (fun algorithm ->
-      let o = B.solve ~algorithm bip in
-      match Certificate.check_matching inst o with
+    (fun solve ->
+      match Certificate.check_matching inst (solve bip) with
       | Ok () -> ()
       | Error m -> Alcotest.failf "genuine matching rejected: %s" m)
-    [ B.Dinic_flow; B.Push_relabel_flow; B.Hopcroft_karp_matching ]
+    [
+      (fun bip -> B.solve bip);
+      Reference.solve `Slots;
+      Reference.solve `Dinic;
+      Reference.solve `Push_relabel;
+    ]
 
 let test_checker_rejects_corrupt_assignment () =
   let inst = contested_instance () in
@@ -102,6 +106,24 @@ let test_checker_rejects_bogus_violator () =
   in
   checkb "non-obstruction rejected" true
     (Result.is_error (Certificate.check_violator inst feasible))
+
+(* The references must not add into the production core's counters
+   ([hk.*]) or register counters of their own on the default registry. *)
+let test_reference_leaves_registry_unchanged () =
+  let bips =
+    Instance.to_bipartite (contested_instance ())
+    :: List.map (fun seed -> Instance.to_bipartite (instance_of_seed seed)) [ 3; 17; 4242 ]
+  in
+  let before = Vod_obs.Registry.snapshot Vod_obs.Registry.default in
+  List.iter
+    (fun bip ->
+      List.iter
+        (fun algorithm -> ignore (Reference.solve algorithm bip))
+        [ `Slots; `Dinic; `Push_relabel ];
+      ignore (Certificate.reference_violator bip))
+    bips;
+  checkb "Registry.default unchanged" true
+    (Vod_obs.Registry.snapshot Vod_obs.Registry.default = before)
 
 let test_fuzz_thousand_instances_clean () =
   let s = Fuzz.run ~seed:2026 ~instances:1000 ~scenarios:0 () in
@@ -203,9 +225,10 @@ let qcheck_cases =
         List.for_all
           (fun o -> Certificate.check_matching inst o = Ok ())
           [
-            B.solve ~algorithm:B.Dinic_flow bip;
-            B.solve ~algorithm:B.Push_relabel_flow bip;
-            B.solve ~algorithm:B.Hopcroft_karp_matching bip;
+            B.solve bip;
+            Reference.solve `Slots bip;
+            Reference.solve `Dinic bip;
+            Reference.solve `Push_relabel bip;
             B.solve_min_cost bip ~edge_cost:(fun ~left ~right -> (left + right) mod 3);
           ]);
     (* 4 *)
@@ -367,6 +390,11 @@ let suites =
           test_checker_rejects_corrupt_assignment;
         Alcotest.test_case "rejects overloaded box" `Quick test_checker_rejects_overloaded_box;
         Alcotest.test_case "rejects bogus violator" `Quick test_checker_rejects_bogus_violator;
+      ] );
+    ( "check.reference",
+      [
+        Alcotest.test_case "leaves Registry.default unchanged" `Quick
+          test_reference_leaves_registry_unchanged;
       ] );
     ( "check.fuzz",
       [

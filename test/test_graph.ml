@@ -1,8 +1,14 @@
-(* Tests for the vod_graph substrate: flow networks, max-flow solvers,
-   bipartite matching, Hall certificates and expansion measurement. *)
+(* Tests for the vod_graph substrate: bipartite matching, Hall
+   certificates and expansion measurement — plus the explicit flow
+   networks and max-flow solvers vod_check keeps as the matching core's
+   references. *)
 
 open Vod_util
 open Vod_graph
+module Flow_network = Vod_check.Flow_network
+module Dinic = Vod_check.Dinic
+module Push_relabel = Vod_check.Push_relabel
+module Reference = Vod_check.Reference
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -191,16 +197,25 @@ let simple_instance () =
   Bipartite.add_edge b ~left:3 ~right:2;
   b
 
+(* The production core and every reference solver. *)
+let all_solvers =
+  [
+    (fun b -> Bipartite.solve b);
+    Reference.solve `Slots;
+    Reference.solve `Dinic;
+    Reference.solve `Push_relabel;
+  ]
+
 let test_bipartite_feasible_all_algorithms () =
   List.iter
-    (fun algorithm ->
+    (fun solve ->
       let b = simple_instance () in
-      let o = Bipartite.solve ~algorithm b in
+      let (o : Bipartite.outcome) = solve b in
       checki "all matched" 4 o.matched;
       (* box 0 has 2 slots and serves requests 0 and 1 *)
       checki "box0 load" 2 o.right_load.(0);
       Array.iteri (fun l r -> checkb (Printf.sprintf "req %d served" l) true (r >= 0)) o.assignment)
-    [ Bipartite.Dinic_flow; Bipartite.Push_relabel_flow; Bipartite.Hopcroft_karp_matching ]
+    all_solvers
 
 let test_bipartite_duplicate_edges_ignored () =
   let b = Bipartite.create ~n_left:1 ~n_right:1 ~right_cap:[| 5 |] in
@@ -278,7 +293,7 @@ let test_violator_from_non_maximum_matching () =
   let g = Prng.create ~seed:0xce27 () in
   let b = certificate_instance g ~n_left:200 ~n_right:50 in
   let greedy = Bipartite.solve_greedy ~rounds:1 (Prng.create ~seed:1 ()) b in
-  let maximum = Bipartite.solve ~algorithm:Bipartite.Hopcroft_karp_matching b in
+  let maximum = Bipartite.solve b in
   checkb "greedy matching is not maximum" true
     (greedy.Bipartite.matched < maximum.Bipartite.matched);
   let reference = Vod_check.Certificate.reference_violator b in
@@ -331,10 +346,8 @@ let test_matching_vs_bruteforce () =
     let b = Bipartite.create ~n_left ~n_right ~right_cap in
     Array.iteri (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs) adj;
     List.iter
-      (fun algorithm ->
-        let o = Bipartite.solve ~algorithm b in
-        checki "matches brute force" truth o.matched)
-      [ Bipartite.Dinic_flow; Bipartite.Push_relabel_flow; Bipartite.Hopcroft_karp_matching ]
+      (fun solve -> checki "matches brute force" truth (solve b).Bipartite.matched)
+      all_solvers
   done
 
 (* ------------------------------------------------------------------ *)
@@ -431,30 +444,6 @@ let test_csr_builder_reuse () =
 let outcome_triple (o : Bipartite.outcome) =
   (o.Bipartite.matched, Array.to_list o.Bipartite.assignment, Array.to_list o.Bipartite.right_load)
 
-let test_arena_reuse_deterministic () =
-  let g = Prng.create ~seed:0xa3e () in
-  let arena = Arena.create () in
-  List.iter
-    (fun algorithm ->
-      for _ = 1 to 20 do
-        let n_left = 1 + Prng.int g 12 and n_right = 1 + Prng.int g 8 in
-        let adj, right_cap =
-          random_bipartite g ~n_left ~n_right ~max_cap:3 ~edge_prob:0.5
-        in
-        let b = Bipartite.create ~n_left ~n_right ~right_cap in
-        Array.iteri
-          (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
-          adj;
-        (* same instance twice through the same dirty arena: solvers must
-           initialise everything they read, so outcomes are identical *)
-        let o1 = Bipartite.solve ~arena ~algorithm b in
-        let o2 = Bipartite.solve ~arena ~algorithm b in
-        checkb "dirty-arena determinism" true (outcome_triple o1 = outcome_triple o2);
-        checki "agrees with legacy" (Bipartite.solve_legacy ~algorithm b).Bipartite.matched
-          o1.Bipartite.matched
-      done)
-    [ Bipartite.Dinic_flow; Bipartite.Push_relabel_flow; Bipartite.Hopcroft_karp_matching ]
-
 let test_bipartite_reset_reuse () =
   let b = Bipartite.create ~n_left:2 ~n_right:2 ~right_cap:[| 1; 1 |] in
   Bipartite.add_edge b ~left:0 ~right:0;
@@ -534,9 +523,9 @@ let qcheck_cases =
         Array.iteri
           (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
           adj;
-        let d = (Bipartite.solve ~algorithm:Bipartite.Dinic_flow b).matched in
-        let p = (Bipartite.solve ~algorithm:Bipartite.Push_relabel_flow b).matched in
-        let h = (Bipartite.solve ~algorithm:Bipartite.Hopcroft_karp_matching b).matched in
+        let d = (Reference.solve `Dinic b).Bipartite.matched in
+        let p = (Reference.solve `Push_relabel b).Bipartite.matched in
+        let h = (Bipartite.solve b).Bipartite.matched in
         d = p && p = h);
     Test.make ~name:"assignment respects adjacency and capacity" ~count:150 arb
       (fun (seed, n_left, n_right) ->
@@ -592,12 +581,7 @@ let qcheck_cases =
         let arena = Arena.create () in
         let from matching = Bipartite.hall_violator ~arena ?matching b = reference in
         from None
-        && List.for_all
-             (fun algorithm -> from (Some (Bipartite.solve ~algorithm b)))
-             [
-               Bipartite.Dinic_flow; Bipartite.Push_relabel_flow;
-               Bipartite.Hopcroft_karp_matching;
-             ]
+        && List.for_all (fun solve -> from (Some (solve b))) all_solvers
         && from (Some (Bipartite.solve_greedy ~rounds:1 g b)));
     Test.make ~name:"CSR builder round-trips arbitrary adjacencies" ~count:200 arb
       (fun (seed, n_left, n_right) ->
@@ -632,18 +616,16 @@ let qcheck_cases =
         let noise = Bipartite.create ~n_left:5 ~n_right:2 ~right_cap:[| 1; 2 |] in
         Bipartite.add_edge noise ~left:0 ~right:1;
         ignore (Bipartite.solve ~arena noise);
-        List.for_all
-          (fun algorithm ->
-            let o1 = Bipartite.solve ~arena ~algorithm b in
-            let o2 = Bipartite.solve ~arena ~algorithm b in
-            outcome_triple o1 = outcome_triple o2
-            && o1.Bipartite.matched
-               = (Bipartite.solve_legacy ~algorithm b).Bipartite.matched)
-          [
-            Bipartite.Dinic_flow;
-            Bipartite.Push_relabel_flow;
-            Bipartite.Hopcroft_karp_matching;
-          ]);
+        (* the same instance twice through the dirty arena: the core must
+           initialise everything it reads, so the outcomes are identical
+           and as large as every reference's *)
+        let o1 = Bipartite.solve ~arena b in
+        let o2 = Bipartite.solve ~arena b in
+        outcome_triple o1 = outcome_triple o2
+        && List.for_all
+             (fun algorithm ->
+               (Reference.solve algorithm b).Bipartite.matched = o1.Bipartite.matched)
+             [ `Slots; `Dinic; `Push_relabel ]);
     Test.make ~name:"delta rebuilds track scratch builds under churn" ~count:60 arb
       (fun (seed, n_left, n_right) ->
         let g = Prng.create ~seed () in
@@ -766,7 +748,6 @@ let suites =
       [
         Alcotest.test_case "round-trip basics" `Quick test_csr_roundtrip_basic;
         Alcotest.test_case "builder reuse" `Quick test_csr_builder_reuse;
-        Alcotest.test_case "arena reuse deterministic" `Quick test_arena_reuse_deterministic;
         Alcotest.test_case "bipartite reset reuse" `Quick test_bipartite_reset_reuse;
         Alcotest.test_case "network clear + arc_hint" `Quick test_network_clear_reuse;
         Alcotest.test_case "delta rebuild freezes" `Quick test_delta_rebuild_freezes;

@@ -674,8 +674,26 @@ let test_par_absorb_pattern () =
     (Registry.counter_value (Registry.counter merged "work"));
   checki "gauge keeps fleet max" 9 (Registry.gauge_value (Registry.gauge merged "peak"))
 
+(* The bench harnesses' allocation meter: a region that allocates
+   nothing reads exactly 0 bytes, one that allocates reads its size. *)
+let test_meter_empty_region () =
+  (* an emptied minor heap: no collection falls inside the regions *)
+  Gc.minor ();
+  let b0 = Meter.allocated_bytes () in
+  let b1 = Meter.allocated_bytes () in
+  Alcotest.check (Alcotest.float 0.0) "empty region" 0.0 (b1 -. b0);
+  let b0 = Meter.allocated_bytes () in
+  let block = Sys.opaque_identity (Array.make 10 0) in
+  let b1 = Meter.allocated_bytes () in
+  ignore block;
+  Alcotest.check (Alcotest.float 0.0) "eleven-word block"
+    (float_of_int (11 * (Sys.word_size / 8)))
+    (b1 -. b0)
+
 let suites =
   [
+    ( "bench.meter",
+      [ Alcotest.test_case "empty region reads 0 bytes" `Quick test_meter_empty_region ] );
     ( "obs.registry",
       [
         Alcotest.test_case "counter and gauge" `Quick test_counter_basics;

@@ -344,7 +344,7 @@ let test_bitset_union_inter () =
   let a = Bitset.create 128 and b = Bitset.create 128 in
   List.iter (Bitset.add a) [ 1; 2; 3; 100 ];
   List.iter (Bitset.add b) [ 2; 3; 4 ];
-  checki "inter" 2 (Bitset.inter_cardinal a b);
+  checkb "inter" true (Bitset.intersects a b);
   Bitset.union_into ~dst:a b;
   checki "union" 5 (Bitset.cardinal a)
 
@@ -386,14 +386,6 @@ let test_bitset_set_prefix () =
   Bitset.set_prefix b 0;
   checkb "zero prefix" true (Bitset.is_empty b)
 
-let test_bitset_union_reporting () =
-  let a = Bitset.create 128 and b = Bitset.create 128 in
-  List.iter (Bitset.add a) [ 1; 2; 100 ];
-  List.iter (Bitset.add b) [ 2; 3; 100; 101 ];
-  checki "new bits" 2 (Bitset.union_into_reporting_new ~dst:a b);
-  checki "union cardinal" 5 (Bitset.cardinal a);
-  checki "idempotent" 0 (Bitset.union_into_reporting_new ~dst:a b)
-
 let test_bitset_andnot () =
   let a = Bitset.create 128 and b = Bitset.create 128 in
   List.iter (Bitset.add a) [ 1; 2; 3; 100 ];
@@ -408,20 +400,6 @@ let test_bitset_intersects () =
   checkb "disjoint" false (Bitset.intersects a b);
   Bitset.add b 5;
   checkb "common bit" true (Bitset.intersects a b)
-
-let test_bitset_iter_words () =
-  let bpw = Bitset.bits_per_word in
-  let b = Bitset.create (10 * bpw) in
-  (* bits spanning three words, with word 1 left empty *)
-  let members = [ 0; bpw - 1; (2 * bpw) + 4; (2 * bpw) + 5 ] in
-  List.iter (Bitset.add b) members;
-  let seen = ref [] in
-  Bitset.iter_words (fun w word -> seen := (w, word) :: !seen) b;
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "nonzero words only"
-    [ (0, 1 lor (1 lsl (bpw - 1))); (2, (1 lsl 4) lor (1 lsl 5)) ]
-    (List.rev !seen)
 
 let test_bitset_capacity_mismatch () =
   let a = Bitset.create 64 and b = Bitset.create 128 in
@@ -596,34 +574,12 @@ let bitset_word_laws =
            done
          with Exit -> ());
         Bitset.next_set_bit b start = !naive);
-    Test.make ~name:"bitset iter/iter_words/to_list agree" ~count:200 members (fun l ->
-        let b = bitset_of l in
-        let via_iter = ref [] in
-        Bitset.iter (fun i -> via_iter := i :: !via_iter) b;
-        let via_words = ref [] in
-        Bitset.iter_words
-          (fun w word ->
-            let base = w * Bitset.bits_per_word in
-            for bit = Bitset.bits_per_word - 1 downto 0 do
-              if word land (1 lsl bit) <> 0 then via_words := (base + bit) :: !via_words
-            done)
-          b;
-        let expect = Bitset.to_list b in
-        List.rev !via_iter = expect && List.sort compare !via_words = expect);
     Test.make ~name:"bitset set_prefix is [0, n)" ~count:200
       (pair members (int_range 0 200))
       (fun (l, n) ->
         let b = bitset_of l in
         Bitset.set_prefix b n;
         Bitset.to_list b = List.init n Fun.id);
-    Test.make ~name:"bitset union_into_reporting_new counts b \\ a" ~count:200
-      (pair members members)
-      (fun (la, lb) ->
-        let a = bitset_of la and b = bitset_of lb in
-        let module S = Set.Make (Int) in
-        let sa = S.of_list la and sb = S.of_list lb in
-        let fresh = Bitset.union_into_reporting_new ~dst:a b in
-        fresh = S.cardinal (S.diff sb sa) && Bitset.to_list a = S.elements (S.union sa sb));
     Test.make ~name:"bitset andnot_into is set difference" ~count:200
       (pair members members)
       (fun (la, lb) ->
@@ -755,10 +711,8 @@ let suites =
         Alcotest.test_case "bounds" `Quick test_bitset_bounds;
         Alcotest.test_case "next_set_bit" `Quick test_bitset_next_set_bit;
         Alcotest.test_case "set_prefix" `Quick test_bitset_set_prefix;
-        Alcotest.test_case "union reporting new" `Quick test_bitset_union_reporting;
         Alcotest.test_case "andnot" `Quick test_bitset_andnot;
         Alcotest.test_case "intersects" `Quick test_bitset_intersects;
-        Alcotest.test_case "iter_words" `Quick test_bitset_iter_words;
         Alcotest.test_case "capacity mismatch" `Quick test_bitset_capacity_mismatch;
       ] );
     ( "util.heap",
